@@ -10,6 +10,8 @@
 #include "core/collector.hpp"
 #include "core/rate_estimator.hpp"
 #include "net/link.hpp"
+#include "net/route_info.hpp"
+#include "net/topology.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
 #include "switchsim/switch.hpp"
@@ -33,13 +35,13 @@ void BM_BurstEstimatorAddSample(benchmark::State& state) {
 BENCHMARK(BM_BurstEstimatorAddSample);
 
 void BM_CollectorHandleSample(benchmark::State& state) {
+  // A 2-host star: flow 0->1 enters by port 0 and leaves by port 1.
+  const net::TopologyGraph graph = net::make_star(2, net::LinkSpec{});
+  const int node = graph.switch_node(0);
   sim::Simulation simulation;
   core::CollectorConfig cfg;
-  core::Collector collector(simulation, "bench", 0, cfg);
-  net::SwitchRouteView view;
-  view.out_port_by_dst[net::host_mac(1)] = 1;
-  view.in_port_by_pair[net::MacPair{net::host_mac(0), net::host_mac(1)}] = 0;
-  collector.update_route_view(std::move(view));
+  core::Collector collector(simulation, "bench", node, cfg);
+  collector.update_route_view(net::SwitchRouteView(graph, node));
   collector.set_link_capacity(1, 10'000'000'000);
 
   net::Packet p;
@@ -59,9 +61,12 @@ void BM_CollectorHandleSample(benchmark::State& state) {
 BENCHMARK(BM_CollectorHandleSample);
 
 void BM_CollectorManyFlows(benchmark::State& state) {
+  // A 16-host star: flow f runs f%16 -> (f+1)%16, entering by port f%16.
+  const net::TopologyGraph graph = net::make_star(16, net::LinkSpec{});
+  const int node = graph.switch_node(0);
   sim::Simulation simulation;
-  core::Collector collector(simulation, "bench", 0, core::CollectorConfig{});
-  net::SwitchRouteView view;
+  core::Collector collector(simulation, "bench", node,
+                            core::CollectorConfig{});
   const int flows = static_cast<int>(state.range(0));
   std::vector<net::Packet> packets;
   for (int f = 0; f < flows; ++f) {
@@ -73,11 +78,9 @@ void BM_CollectorManyFlows(benchmark::State& state) {
     p.src_port = static_cast<std::uint16_t>(10000 + f);
     p.dst_port = 5001;
     p.payload = 1460;
-    view.out_port_by_dst[p.dst_mac] = (f + 1) % 16;
-    view.in_port_by_pair[net::MacPair{p.src_mac, p.dst_mac}] = f % 16;
     packets.push_back(p);
   }
-  collector.update_route_view(std::move(view));
+  collector.update_route_view(net::SwitchRouteView(graph, node));
   std::size_t i = 0;
   for (auto _ : state) {
     net::Packet& p = packets[i % packets.size()];

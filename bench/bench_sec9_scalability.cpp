@@ -19,6 +19,12 @@
 // elephants, for each thread count in <list>. Reports events/sec,
 // speedup over the 1-thread cell, and — the exit gate — that every
 // thread count reproduces the 1-thread engine digest bit-for-bit.
+//
+// Every simulated cell also reports its setup wall time (graph, Testbed
+// with routes and collector views installed, TE; setup_s) and its peak
+// resident set size (peak_rss_mb). The sweep resets the peak-RSS mark
+// before each cell, so a cell's figure includes only heap the allocator
+// kept from earlier cells; run one cell (--k, --kpar) for a clean number.
 
 #include <chrono>
 #include <cstdio>
@@ -143,6 +149,8 @@ struct SweepResult {
   double detect_ms = -1;             // flow-2 start -> congestion event
   double detect_to_reroute_ms = -1;  // congestion event -> shadow MAC seen
   std::uint64_t events = 0;
+  double setup_seconds = 0;
+  double peak_rss_mb = 0;
   double wall_seconds = 0;
   double sim_seconds = 0;
   std::uint64_t reroutes = 0;
@@ -173,6 +181,8 @@ SweepResult run_simulated(int k) {
   SweepResult r;
   r.k = k;
 
+  bench::reset_peak_rss();
+  const auto t_setup = std::chrono::steady_clock::now();
   sim::Simulation simulation;
   const net::TopologyGraph graph = net::make_fat_tree(
       k, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
@@ -191,6 +201,9 @@ SweepResult run_simulated(int k) {
   workload::TestbedConfig cfg;
   workload::Testbed bed(simulation, graph, cfg);
   te::PlanckTe te(simulation, bed.controller(), te::PlanckTeConfig{});
+  r.setup_seconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t_setup)
+                        .count();
 
   const sim::Time t2 = sim::milliseconds(5);
 
@@ -231,6 +244,7 @@ SweepResult run_simulated(int k) {
 
   r.events = simulation.events_executed();
   r.sim_seconds = sim::to_seconds(simulation.now());
+  r.peak_rss_mb = bench::peak_rss_mb();
   r.reroutes = te.reroutes();
   r.flows_completed = completed;
   if (detection >= 0) r.detect_ms = sim::to_milliseconds(detection - t2);
@@ -245,8 +259,9 @@ SweepResult run_simulated(int k) {
 int run_sweep(const std::vector<int>& radices, bench::JsonReport& report) {
   std::printf("\nsimulated congestion + reroute sweep (two colliding "
               "elephants from one edge, PlanckTE reroutes):\n\n");
-  stats::TextTable table({"k", "hosts", "switches", "trees", "detect ms",
-                          "detect->reroute ms", "events", "events/sec"});
+  stats::TextTable table({"k", "hosts", "switches", "trees", "setup s",
+                          "peak RSS MiB", "detect ms", "detect->reroute ms",
+                          "events", "events/sec"});
   bool all_ok = true;
   for (int k : radices) {
     const SweepResult r = run_simulated(k);
@@ -254,6 +269,8 @@ int run_sweep(const std::vector<int>& radices, bench::JsonReport& report) {
     table.add_row({stats::format("%d", r.k), stats::format("%d", r.hosts),
                    stats::format("%d", r.switches),
                    stats::format("%d", r.trees),
+                   stats::format("%.4f", r.setup_seconds),
+                   stats::format("%.0f", r.peak_rss_mb),
                    stats::format("%.3f", r.detect_ms),
                    stats::format("%.3f", r.detect_to_reroute_ms),
                    stats::format("%llu",
@@ -269,6 +286,8 @@ int run_sweep(const std::vector<int>& radices, bench::JsonReport& report) {
     m.gauge(name, "hosts").set(static_cast<double>(r.hosts));
     m.gauge(name, "switches").set(static_cast<double>(r.switches));
     m.gauge(name, "trees").set(static_cast<double>(r.trees));
+    m.gauge(name, "setup_s").set(r.setup_seconds);
+    m.gauge(name, "peak_rss_mb").set(r.peak_rss_mb);
     m.gauge(name, "detect_ms").set(r.detect_ms);
     m.gauge(name, "detect_to_reroute_ms").set(r.detect_to_reroute_ms);
     m.gauge(name, "reroutes").set(static_cast<double>(r.reroutes));
@@ -298,6 +317,8 @@ struct PartitionedResult {
   int hosts = 0;
   int partitions = 0;
   std::uint64_t events = 0;
+  double setup_seconds = 0;
+  double peak_rss_mb = 0;
   double wall_seconds = 0;
   double sim_seconds = 0;
   std::uint64_t digest = 0;
@@ -315,6 +336,8 @@ PartitionedResult run_partitioned(int k, int threads) {
   r.k = k;
   r.threads = threads;
 
+  bench::reset_peak_rss();
+  const auto t_setup = std::chrono::steady_clock::now();
   const net::TopologyGraph graph = net::make_fat_tree(
       k, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   const net::PartitionMap map = net::make_partition_map(graph);
@@ -324,6 +347,9 @@ PartitionedResult run_partitioned(int k, int threads) {
 
   workload::TestbedConfig cfg;
   workload::Testbed bed(engine, map, graph, cfg);
+  r.setup_seconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t_setup)
+                        .count();
 
   const int hosts_per_pod = graph.shape().hosts_per_pod();
   const auto bytes = static_cast<std::int64_t>(
@@ -349,6 +375,7 @@ PartitionedResult run_partitioned(int k, int threads) {
   r.events = engine.events_executed();
   r.sim_seconds = sim::to_seconds(engine.control().now());
   r.digest = engine.determinism_digest();
+  r.peak_rss_mb = bench::peak_rss_mb();
   for (std::uint8_t d : done) r.flows_completed += d;
   return r;
 }
@@ -358,8 +385,9 @@ int run_partitioned_sweep(const std::vector<int>& radices,
                           bench::JsonReport& report) {
   std::printf("\nsharded-engine sweep (per-pod elephant ring, lookahead-"
               "window barriers):\n\n");
-  stats::TextTable table({"k", "hosts", "partitions", "threads", "events",
-                          "events/sec", "speedup", "digest ok"});
+  stats::TextTable table({"k", "hosts", "partitions", "threads", "setup s",
+                          "peak RSS MiB", "events", "events/sec", "speedup",
+                          "digest ok"});
   int rc = 0;
   for (int k : radices) {
     double base_eps = 0;
@@ -382,6 +410,8 @@ int run_partitioned_sweep(const std::vector<int>& radices,
       table.add_row(
           {stats::format("%d", r.k), stats::format("%d", r.hosts),
            stats::format("%d", r.partitions), stats::format("%d", r.threads),
+           stats::format("%.4f", r.setup_seconds),
+           stats::format("%.0f", r.peak_rss_mb),
            stats::format("%llu", static_cast<unsigned long long>(r.events)),
            stats::format("%.2e", eps),
            stats::format("%.2fx", base_eps > 0 ? eps / base_eps : 0.0),
@@ -393,6 +423,8 @@ int run_partitioned_sweep(const std::vector<int>& radices,
       m.gauge(name, "hosts").set(static_cast<double>(r.hosts));
       m.gauge(name, "partitions").set(static_cast<double>(r.partitions));
       m.gauge(name, "threads").set(static_cast<double>(r.threads));
+      m.gauge(name, "setup_s").set(r.setup_seconds);
+      m.gauge(name, "peak_rss_mb").set(r.peak_rss_mb);
       m.gauge(name, "flows_completed")
           .set(static_cast<double>(r.flows_completed));
       m.gauge(name, "digest_match").set(digest_ok ? 1.0 : 0.0);

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,6 +51,30 @@ inline double scale() {
 
 inline sim::Bytes mib(double n) {
   return sim::Bytes{static_cast<std::int64_t>(n * 1024 * 1024)};
+}
+
+/// Peak resident set size of this process in MiB (Linux VmHWM; 0 where
+/// /proc is unavailable).
+inline double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::atof(line.c_str() + 6) / 1024.0;  // reported in KiB
+    }
+  }
+  return 0.0;
+}
+
+/// Restarts the peak-RSS mark from the current RSS (Linux
+/// /proc/self/clear_refs), so a sweep can report each cell's own peak.
+/// Memory the allocator kept from earlier cells still counts. Returns
+/// false where unsupported; peak_rss_mb() is then the process's peak.
+inline bool reset_peak_rss() {
+  std::ofstream clear_refs("/proc/self/clear_refs");
+  clear_refs << "5";
+  clear_refs.flush();
+  return static_cast<bool>(clear_refs);
 }
 
 inline void header(const char* id, const char* title) {

@@ -108,22 +108,36 @@ void Controller::install_routes() {
 }
 
 void Controller::install_switch_rules() {
+  // MAC rules depend only on (dst, tree): routing is destination-based, so
+  // every path to dst on a tree leaves a given switch by the same port.
+  // One source per host-facing switch reaches every switch of the tree,
+  // and a walk stops at the first switch this (dst, tree) already
+  // programmed, because the rest of its path is shared. Each rule is
+  // written once.
+  const net::TopologyShape& shape = graph_.shape();
   const int n = routing_.num_hosts();
-  for (int s = 0; s < n; ++s) {
-    for (int d = 0; d < n; ++d) {
-      if (s == d) continue;
-      for (int t = 0; t < routing_.num_trees(); ++t) {
-        const net::RoutePath& p = routing_.path(s, d, t);
-        const net::MacAddress routing_mac = net::host_mac(d, t);
-        for (std::size_t i = 0; i < p.hops.size(); ++i) {
-          const net::PathHop& hop = p.hops[i];
+  std::vector<int> programmed(static_cast<std::size_t>(graph_.num_nodes()),
+                              -1);
+  for (int d = 0; d < n; ++d) {
+    for (int t = 0; t < routing_.num_trees(); ++t) {
+      const int stamp = d * routing_.num_trees() + t;
+      const net::MacAddress routing_mac = net::host_mac(d, t);
+      for (int i = 0; i < shape.num_ingress_switches(); ++i) {
+        const int s = net::witness_source(shape, i, d);
+        if (s < 0) continue;
+        const net::RoutePath p = routing_.path(s, d, t);
+        for (std::size_t h = 0; h < p.hops.size(); ++h) {
+          const net::PathHop& hop = p.hops[h];
+          int& seen = programmed[static_cast<std::size_t>(hop.switch_node)];
+          if (seen == stamp) break;
+          seen = stamp;
           const auto it = switches_.find(hop.switch_node);
           if (it == switches_.end()) continue;
           switchsim::RuleActions actions;
           actions.out_port = hop.out_port;
           // Egress switch restores the base MAC so the host accepts the
           // frame (§6.2, "Rewrite to Base MAC").
-          if (t != 0 && i + 1 == p.hops.size()) {
+          if (t != 0 && h + 1 == p.hops.size()) {
             actions.set_dst_mac = net::host_mac(d, 0);
           }
           it->second.sw->rules().set_mac_rule(routing_mac, actions);
@@ -134,26 +148,10 @@ void Controller::install_switch_rules() {
 }
 
 void Controller::push_route_views() {
-  std::unordered_map<int, net::SwitchRouteView> views;
-  const int n = routing_.num_hosts();
-  for (int s = 0; s < n; ++s) {
-    for (int d = 0; d < n; ++d) {
-      if (s == d) continue;
-      for (int t = 0; t < routing_.num_trees(); ++t) {
-        const net::RoutePath& p = routing_.path(s, d, t);
-        const net::MacAddress dst_mac = net::host_mac(d, t);
-        const net::MacAddress src_mac = net::host_mac(s, 0);
-        for (const net::PathHop& hop : p.hops) {
-          net::SwitchRouteView& view = views[hop.switch_node];
-          view.out_port_by_dst[dst_mac] = hop.out_port;
-          view.in_port_by_pair[net::MacPair{src_mac, dst_mac}] = hop.in_port;
-        }
-      }
-    }
-  }
+  // A view only points at graph_, which outlives the collectors.
   for (int node : sorted_collector_nodes_) {
     core::Collector* collector = collectors_.at(node);
-    collector->update_route_view(views[node]);
+    collector->update_route_view(net::SwitchRouteView(graph_, node));
     for (int port = 0; port < graph_.num_ports(node); ++port) {
       if (graph_.wired(node, port)) {
         collector->set_link_capacity(
@@ -188,7 +186,7 @@ std::uint64_t Controller::reroute_flow(const net::FlowKey& key, int tree,
   tree_assignment_[key] = tree;
 
   // Ingress switch: the first hop of the source's base path.
-  const net::RoutePath& base = routing_.path(src_host, dst_host, 0);
+  const net::RoutePath base = routing_.path(src_host, dst_host, 0);
   assert(!base.hops.empty());
   const int ingress_node = base.hops.front().switch_node;
   const int ingress_in_port = base.hops.front().in_port;

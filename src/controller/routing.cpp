@@ -1,154 +1,18 @@
 #include "controller/routing.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace planck::controller {
 
 Routing::Routing(const net::TopologyGraph& graph)
-    : graph_(graph), num_hosts_(graph.num_hosts()) {
-  const net::TopologyShape& shape = graph.shape();
-  switch (shape.kind) {
-    case net::FabricKind::kFatTree:
-    case net::FabricKind::kLeafSpine:
-      num_trees_ = shape.provisioned_trees;
-      break;
-    case net::FabricKind::kStar:
-      num_trees_ = 1;
-      break;
-    case net::FabricKind::kUnknown:
-      throw std::invalid_argument(
-          "Routing needs a graph built by net::make_fat_tree, "
-          "net::make_leaf_spine, or net::make_star");
+    : graph_(graph),
+      num_trees_(graph.shape().provisioned_trees),
+      num_hosts_(graph.num_hosts()) {
+  if (graph.shape().kind == net::FabricKind::kUnknown) {
+    throw std::invalid_argument(
+        "Routing needs a graph built by net::make_fat_tree, "
+        "net::make_leaf_spine, or net::make_star");
   }
-
-  paths_.resize(static_cast<std::size_t>(num_hosts_) *
-                static_cast<std::size_t>(num_hosts_) *
-                static_cast<std::size_t>(num_trees_));
-  for (int s = 0; s < num_hosts_; ++s) {
-    for (int d = 0; d < num_hosts_; ++d) {
-      for (int t = 0; t < num_trees_; ++t) {
-        auto& slot =
-            paths_[(static_cast<std::size_t>(s) *
-                        static_cast<std::size_t>(num_hosts_) +
-                    static_cast<std::size_t>(d)) *
-                       static_cast<std::size_t>(num_trees_) +
-                   static_cast<std::size_t>(t)];
-        if (s == d) {
-          slot = net::RoutePath{s, d, t, {}};
-        } else {
-          switch (shape.kind) {
-            case net::FabricKind::kFatTree:
-              slot = compute_fat_tree_path(s, d, t);
-              break;
-            case net::FabricKind::kLeafSpine:
-              slot = compute_leaf_spine_path(s, d, t);
-              break;
-            default:
-              slot = compute_star_path(s, d);
-              break;
-          }
-          slot.tree = t;
-        }
-      }
-    }
-  }
-}
-
-const net::RoutePath& Routing::path(int src_host, int dst_host,
-                                    int tree) const {
-  assert(src_host >= 0 && src_host < num_hosts_);
-  assert(dst_host >= 0 && dst_host < num_hosts_);
-  assert(tree >= 0 && tree < num_trees_);
-  return paths_[(static_cast<std::size_t>(src_host) *
-                     static_cast<std::size_t>(num_hosts_) +
-                 static_cast<std::size_t>(dst_host)) *
-                    static_cast<std::size_t>(num_trees_) +
-                static_cast<std::size_t>(tree)];
-}
-
-net::RoutePath Routing::compute_fat_tree_path(int src, int dst,
-                                              int tree) const {
-  const net::TopologyShape& sh = graph_.shape();
-  net::RoutePath p;
-  p.src_host = src;
-  p.dst_host = dst;
-  p.tree = tree;
-
-  const int ps = sh.pod_of_host(src);
-  const int pd = sh.pod_of_host(dst);
-  const int es = sh.edge_of_host(src);
-  const int ed = sh.edge_of_host(dst);
-  const int leaf_s = sh.leaf_of_host(src);
-  const int leaf_d = sh.leaf_of_host(dst);
-  // Relative tree -> absolute core for this destination (PAST hashing).
-  const int core_idx = (base_core(dst, sh.num_core) + tree) % sh.num_core;
-  const int a = sh.agg_for_core(core_idx);
-
-  const int edge_s = graph_.switch_node(sh.edge_switch_index(ps, es));
-  const int edge_d = graph_.switch_node(sh.edge_switch_index(pd, ed));
-
-  if (ps == pd && es == ed) {
-    p.hops.push_back({edge_s, leaf_s, leaf_d});
-    return p;
-  }
-  if (ps == pd) {
-    const int agg = graph_.switch_node(sh.agg_switch_index(ps, a));
-    p.hops.push_back({edge_s, leaf_s, sh.edge_port_for_agg(a)});
-    p.hops.push_back({agg, es, ed});
-    p.hops.push_back({edge_d, sh.edge_port_for_agg(a), leaf_d});
-    return p;
-  }
-  const int agg_s = graph_.switch_node(sh.agg_switch_index(ps, a));
-  const int agg_d = graph_.switch_node(sh.agg_switch_index(pd, a));
-  const int core = graph_.switch_node(sh.core_switch_index(core_idx));
-  p.hops.push_back({edge_s, leaf_s, sh.edge_port_for_agg(a)});
-  p.hops.push_back({agg_s, es, sh.agg_port_for_core(core_idx)});
-  p.hops.push_back({core, ps, pd});
-  p.hops.push_back({agg_d, sh.agg_port_for_core(core_idx), ed});
-  p.hops.push_back({edge_d, sh.edge_port_for_agg(a), leaf_d});
-  return p;
-}
-
-net::RoutePath Routing::compute_leaf_spine_path(int src, int dst,
-                                                int tree) const {
-  const net::TopologyShape& sh = graph_.shape();
-  net::RoutePath p;
-  p.src_host = src;
-  p.dst_host = dst;
-  p.tree = tree;
-
-  const int ls = sh.leaf_of_ls_host(src);
-  const int ld = sh.leaf_of_ls_host(dst);
-  const int port_s = sh.leaf_port_of_ls_host(src);
-  const int port_d = sh.leaf_port_of_ls_host(dst);
-  const int leaf_s = graph_.switch_node(sh.leaf_switch_index(ls));
-
-  if (ls == ld) {
-    p.hops.push_back({leaf_s, port_s, port_d});
-    return p;
-  }
-  // Each spine defines one tree; the base spine is hashed per destination
-  // exactly like fat-tree base cores.
-  const int spine_idx =
-      (base_core(dst, sh.num_spines) + tree) % sh.num_spines;
-  const int leaf_d = graph_.switch_node(sh.leaf_switch_index(ld));
-  const int spine = graph_.switch_node(sh.spine_switch_index(spine_idx));
-  p.hops.push_back({leaf_s, port_s, sh.leaf_port_for_spine(spine_idx)});
-  p.hops.push_back({spine, ls, ld});
-  p.hops.push_back({leaf_d, sh.leaf_port_for_spine(spine_idx), port_d});
-  return p;
-}
-
-net::RoutePath Routing::compute_star_path(int src, int dst) const {
-  net::RoutePath p;
-  p.src_host = src;
-  p.dst_host = dst;
-  p.tree = 0;
-  const int sw = graph_.switch_node(0);
-  // Star wiring: host h occupies switch port h.
-  p.hops.push_back({sw, src, dst});
-  return p;
 }
 
 std::vector<net::DirectedLink> Routing::links_on_path(

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <cstdint>
+#include <cassert>
 #include <vector>
 
 #include "net/route_info.hpp"
@@ -13,28 +13,20 @@ namespace planck::controller {
 /// spanning tree, giving up to (k/2)^2 pre-installable paths per
 /// destination (the base tree plus shadow-MAC trees, capped by the
 /// fabric's provisioned-trees knob). On a leaf-spine each spine defines a
-/// tree; on a star topology there is a single trivial tree.
+/// tree; on a star topology there is a single trivial tree. Paths are
+/// closed-form in the fabric's shape (net::route_path) and computed on
+/// demand; nothing is stored per path.
 class Routing {
  public:
-  /// Computes all trees for `graph`. The graph must carry a TopologyShape
-  /// from one of the net::make_* builders (fat-tree, leaf-spine, or star);
-  /// hand-wired graphs are rejected.
+  /// The graph must carry a TopologyShape from one of the net::make_*
+  /// builders (fat-tree, leaf-spine, or star); hand-wired graphs are
+  /// rejected.
   explicit Routing(const net::TopologyGraph& graph);
 
-  /// Tree indices are *relative to the destination*: tree 0 (the base
-  /// MAC's tree) maps to a pseudo-random core per destination, spreading
-  /// base routes the way PAST/ECMP hashing does (§6.2); trees 1..T-1 are
-  /// the shadow-MAC alternates on the remaining cores (spines, for
-  /// leaf-spine). The absolute core used by (dst, tree) is
+  /// See net::base_core: the absolute core used by (dst, tree) is
   /// (base_core(dst, num_cores) + tree) % num_cores.
   static int base_core(int dst_host, int num_cores) {
-    // splitmix64-style mix so consecutive hosts land on unrelated cores.
-    std::uint64_t z = static_cast<std::uint64_t>(dst_host) +
-                      0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return static_cast<int>((z ^ (z >> 31)) %
-                            static_cast<std::uint64_t>(num_cores));
+    return net::base_core(dst_host, num_cores);
   }
 
   int num_trees() const { return num_trees_; }
@@ -42,7 +34,12 @@ class Routing {
 
   /// The path from src to dst (host indices) on `tree`. Paths between a
   /// host and itself are empty.
-  const net::RoutePath& path(int src_host, int dst_host, int tree) const;
+  net::RoutePath path(int src_host, int dst_host, int tree) const {
+    assert(src_host >= 0 && src_host < num_hosts_);
+    assert(dst_host >= 0 && dst_host < num_hosts_);
+    assert(tree >= 0 && tree < num_trees_);
+    return net::route_path(graph_, src_host, dst_host, tree);
+  }
 
   /// All switch nodes a path crosses share these links; used by TE for
   /// bottleneck computation. Directed links along the path, in order,
@@ -53,15 +50,9 @@ class Routing {
   const net::TopologyGraph& graph() const { return graph_; }
 
  private:
-  net::RoutePath compute_fat_tree_path(int src, int dst, int tree) const;
-  net::RoutePath compute_leaf_spine_path(int src, int dst, int tree) const;
-  net::RoutePath compute_star_path(int src, int dst) const;
-
   const net::TopologyGraph& graph_;
   int num_trees_ = 1;
   int num_hosts_ = 0;
-  // paths_[ (src * num_hosts + dst) * num_trees + tree ]
-  std::vector<net::RoutePath> paths_;
 };
 
 }  // namespace planck::controller

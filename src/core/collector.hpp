@@ -132,8 +132,8 @@ class Collector : public net::Node {
 
   // --- control-plane inputs (§3.3) ---------------------------------------
   /// Replaces the forwarding view used for in/out-port inference.
-  void update_route_view(net::SwitchRouteView view) {
-    route_view_ = std::move(view);
+  void update_route_view(const net::SwitchRouteView& view) {
+    route_view_ = view;
   }
   /// Declares the capacity of the link on `out_port` (needed to judge
   /// congestion).

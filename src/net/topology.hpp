@@ -69,6 +69,28 @@ struct TopologyShape {
     return 0;
   }
 
+  /// Host-facing switches (fat-tree edges, leaf-spine leaves, the star's
+  /// one switch) come first in switch-index order, and ingress switch i
+  /// carries hosts i*hosts_per_ingress() .. (i+1)*hosts_per_ingress()-1.
+  int num_ingress_switches() const {
+    switch (kind) {
+      case FabricKind::kFatTree:   return num_pods * edge_per_pod;
+      case FabricKind::kLeafSpine: return num_leaves;
+      case FabricKind::kStar:      return 1;
+      case FabricKind::kUnknown:   return 0;
+    }
+    return 0;
+  }
+  int hosts_per_ingress() const {
+    switch (kind) {
+      case FabricKind::kFatTree:   return hosts_per_edge;
+      case FabricKind::kLeafSpine: return hosts_per_leaf;
+      case FabricKind::kStar:      return num_hosts;
+      case FabricKind::kUnknown:   return 0;
+    }
+    return 0;
+  }
+
   // Fat-tree coordinates. Host ids are dense, pod-major:
   //   host = pod*(k/2)^2 + edge*(k/2) + leaf.
   int hosts_per_pod() const { return hosts_per_edge * edge_per_pod; }

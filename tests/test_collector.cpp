@@ -10,6 +10,8 @@
 #include "core/collector.hpp"
 #include "core/flow_table.hpp"
 #include "core/opensample.hpp"
+#include "net/route_info.hpp"
+#include "net/topology.hpp"
 #include "sim/simulation.hpp"
 
 namespace planck::core {
@@ -33,34 +35,42 @@ Packet make_data(int src, int dst, std::uint64_t seq, int tree = 0,
   return p;
 }
 
+// The collector watches edge switch (pod 0, edge 0) of a k=4 fat-tree and
+// samples host 0 -> host 4 (pod 1). Host 4's base tree runs through core 2
+// (aggregation switch 1, edge uplink port 3); its shadow tree 2 through
+// core 0 (aggregation switch 0, uplink port 2). Host 0 hangs off port 0.
+constexpr int kSrc = 0;
+constexpr int kDst = 4;
+constexpr int kInPort = 0;
+constexpr int kBasePort = 3;
+constexpr int kShadowPort = 2;
+
 struct Fixture {
   explicit Fixture(CollectorConfig cfg = {})
-      : collector(sim, "c0", 99, cfg) {
-    net::SwitchRouteView view;
-    view.out_port_by_dst[net::host_mac(1)] = 1;
-    view.out_port_by_dst[net::host_mac(1, 2)] = 3;
-    view.in_port_by_pair[net::MacPair{net::host_mac(0), net::host_mac(1)}] =
-        0;
-    view.in_port_by_pair[net::MacPair{net::host_mac(0),
-                                      net::host_mac(1, 2)}] = 0;
-    collector.update_route_view(view);
-    collector.set_link_capacity(1, 10'000'000'000);
-    collector.set_link_capacity(3, 10'000'000'000);
+      : graph(net::make_fat_tree(4, net::LinkSpec{})),
+        node(graph.switch_node(0)),
+        collector(sim, "c0", node, cfg) {
+    collector.update_route_view(net::SwitchRouteView(graph, node));
+    collector.set_link_capacity(kBasePort, 10'000'000'000);
+    collector.set_link_capacity(kShadowPort, 10'000'000'000);
   }
 
-  /// Feeds a CBR sample stream for flow 0->1.
+  /// Feeds a CBR sample stream for flow kSrc -> kDst on `tree`.
   void feed(double rate_bps, sim::Duration duration, int tree = 0) {
     const double interval = 1460 * 8.0 / rate_bps * 1e9;
     const sim::Time start = sim.now();
     for (double t = 0; t < static_cast<double>(duration); t += interval) {
       sim.schedule_at(start + static_cast<sim::Time>(t), [this, tree] {
-        collector.handle_packet(make_data(0, 1, seqs_[tree], tree), 0);
+        collector.handle_packet(make_data(kSrc, kDst, seqs_[tree], tree),
+                                kInPort);
         seqs_[tree] += 1460;
       });
     }
     sim.run_until(start + duration);
   }
 
+  net::TopologyGraph graph;
+  int node;
   sim::Simulation sim;
   Collector collector;
   std::uint64_t seqs_[4] = {};
@@ -72,7 +82,7 @@ TEST(Collector, TracksFlowsAndSamples) {
   EXPECT_GT(f.collector.samples_received(), 100u);
   EXPECT_EQ(f.collector.flow_table().size(), 1u);
   const FlowRecord* rec =
-      f.collector.flow_table().find(make_data(0, 1, 0).flow_key());
+      f.collector.flow_table().find(make_data(kSrc, kDst, 0).flow_key());
   ASSERT_NE(rec, nullptr);
   EXPECT_GT(rec->samples, 100u);
 }
@@ -81,20 +91,20 @@ TEST(Collector, InfersPortsFromRouteView) {
   Fixture f;
   f.feed(5e9, sim::milliseconds(1));
   const FlowRecord* rec =
-      f.collector.flow_table().find(make_data(0, 1, 0).flow_key());
+      f.collector.flow_table().find(make_data(kSrc, kDst, 0).flow_key());
   ASSERT_NE(rec, nullptr);
-  EXPECT_EQ(rec->in_port, 0);
-  EXPECT_EQ(rec->out_port, 1);
+  EXPECT_EQ(rec->in_port, kInPort);
+  EXPECT_EQ(rec->out_port, kBasePort);
   EXPECT_EQ(f.collector.inference_misses(), 0u);
 }
 
 TEST(Collector, InferenceMatchesOracleMetadata) {
   Fixture f;
   // The mirrored replica carries oracle ports; inference must agree.
-  Packet p = make_data(0, 1, 0);
-  p.oracle_in_port = 0;
-  p.oracle_out_port = 1;
-  f.collector.handle_packet(p, 0);
+  Packet p = make_data(kSrc, kDst, 0);
+  p.oracle_in_port = kInPort;
+  p.oracle_out_port = kBasePort;
+  f.collector.handle_packet(p, kInPort);
   const FlowRecord* rec = f.collector.flow_table().find(p.flow_key());
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->in_port, p.oracle_in_port);
@@ -103,7 +113,8 @@ TEST(Collector, InferenceMatchesOracleMetadata) {
 
 TEST(Collector, CountsInferenceMissWithoutRouteInfo) {
   Fixture f;
-  Packet p = make_data(5, 9, 0);  // no view entry for this pair
+  // Host 16 is past the 16-host fabric: no route to it crosses the switch.
+  Packet p = make_data(5, 16, 0);
   f.collector.handle_packet(p, 0);
   EXPECT_EQ(f.collector.inference_misses(), 1u);
   const FlowRecord* rec = f.collector.flow_table().find(p.flow_key());
@@ -114,17 +125,17 @@ TEST(Collector, CountsInferenceMissWithoutRouteInfo) {
 TEST(Collector, LinkUtilizationTracksFlowRate) {
   Fixture f;
   f.feed(6e9, sim::milliseconds(3));
-  EXPECT_NEAR(f.collector.link_utilization_bps(1), 6e9, 6e8);
-  EXPECT_EQ(f.collector.link_utilization_bps(3), 0.0);
+  EXPECT_NEAR(f.collector.link_utilization_bps(kBasePort), 6e9, 6e8);
+  EXPECT_EQ(f.collector.link_utilization_bps(kShadowPort), 0.0);
 }
 
 TEST(Collector, UtilizationGoesStaleAfterFlowStops) {
   Fixture f;
   f.feed(6e9, sim::milliseconds(3));
-  EXPECT_GT(f.collector.link_utilization_bps(1), 1e9);
+  EXPECT_GT(f.collector.link_utilization_bps(kBasePort), 1e9);
   // Advance past the staleness window with no traffic; sweeps run on.
   f.sim.run_until(f.sim.now() + sim::milliseconds(20));
-  EXPECT_EQ(f.collector.link_utilization_bps(1), 0.0);
+  EXPECT_EQ(f.collector.link_utilization_bps(kBasePort), 0.0);
 }
 
 TEST(Collector, IdleFlowsEvicted) {
@@ -146,37 +157,37 @@ TEST(Collector, EvictionReleasesEveryContribution) {
   cfg.flow_idle_timeout = sim::milliseconds(10);
   Fixture f(cfg);
   f.feed(6e9, sim::milliseconds(2));
-  EXPECT_GT(f.collector.link_utilization_bps(1), 1e9);
+  EXPECT_GT(f.collector.link_utilization_bps(kBasePort), 1e9);
   EXPECT_EQ(f.collector.evictions(), 0u);
   f.sim.run_until(f.sim.now() + sim::milliseconds(50));
   EXPECT_EQ(f.collector.flow_table().size(), 0u);
   EXPECT_GT(f.collector.evictions(), 0u);
-  EXPECT_EQ(f.collector.link_utilization_bps(1), 0.0);
+  EXPECT_EQ(f.collector.link_utilization_bps(kBasePort), 0.0);
 }
 
 TEST(Collector, TreeChangeLeavesNoResidualUtilization) {
   Fixture f;
   f.feed(6e9, sim::milliseconds(2), /*tree=*/0);
-  EXPECT_GT(f.collector.link_utilization_bps(1), 4e9);
-  // The dst MAC moves to shadow tree 2 (out port 3): the old port's
+  EXPECT_GT(f.collector.link_utilization_bps(kBasePort), 4e9);
+  // The dst MAC moves to shadow tree 2 (kShadowPort): the old port's
   // aggregate must return to exactly zero the moment the flow migrates,
   // without waiting for the staleness sweep.
   f.seqs_[2] = f.seqs_[0];
   f.feed(6e9, sim::milliseconds(2), /*tree=*/2);
-  EXPECT_EQ(f.collector.link_utilization_bps(1), 0.0);
-  EXPECT_GT(f.collector.link_utilization_bps(3), 4e9);
+  EXPECT_EQ(f.collector.link_utilization_bps(kBasePort), 0.0);
+  EXPECT_GT(f.collector.link_utilization_bps(kShadowPort), 4e9);
 }
 
 TEST(Collector, UtilizationMovesWithReroute) {
   Fixture f;
   f.feed(6e9, sim::milliseconds(2), /*tree=*/0);
-  EXPECT_GT(f.collector.link_utilization_bps(1), 4e9);
-  // The flow switches to shadow tree 2 (out port 3): contributions move.
+  EXPECT_GT(f.collector.link_utilization_bps(kBasePort), 4e9);
+  // The flow switches to shadow tree 2 (kShadowPort): contributions move.
   f.seqs_[2] = f.seqs_[0];  // sequence continues
   f.feed(6e9, sim::milliseconds(2), /*tree=*/2);
-  EXPECT_GT(f.collector.link_utilization_bps(3), 4e9);
+  EXPECT_GT(f.collector.link_utilization_bps(kShadowPort), 4e9);
   f.sim.run_until(f.sim.now() + sim::milliseconds(20));
-  EXPECT_EQ(f.collector.link_utilization_bps(1), 0.0);
+  EXPECT_EQ(f.collector.link_utilization_bps(kBasePort), 0.0);
 }
 
 TEST(Collector, CongestionEventFiresAboveThreshold) {
@@ -187,13 +198,13 @@ TEST(Collector, CongestionEventFiresAboveThreshold) {
   f.feed(9.4e9, sim::milliseconds(3));
   ASSERT_FALSE(events.empty());
   const CongestionEvent& e = events.front();
-  EXPECT_EQ(e.switch_node, 99);
-  EXPECT_EQ(e.out_port, 1);
+  EXPECT_EQ(e.switch_node, f.node);
+  EXPECT_EQ(e.out_port, kBasePort);
   EXPECT_GT(e.utilization_bps, 0.9 * 10e9);
   EXPECT_EQ(e.capacity_bps, 10'000'000'000);
   ASSERT_EQ(e.flows.size(), 1u);
   EXPECT_NEAR(e.flows[0].rate_bps, 9.4e9, 5e8);
-  EXPECT_EQ(e.flows[0].src_mac, net::host_mac(0));
+  EXPECT_EQ(e.flows[0].src_mac, net::host_mac(kSrc));
 }
 
 TEST(Collector, NoEventBelowThreshold) {
@@ -231,35 +242,27 @@ TEST(Collector, EventThresholdConfigurable) {
 
 TEST(Collector, FlowsOnLinkSortedByRate) {
   Fixture f;
-  // Two flows on port 1: 0->1 fast, 2->1 slow.
-  net::SwitchRouteView view;
-  view.out_port_by_dst[net::host_mac(1)] = 1;
-  view.in_port_by_pair[net::MacPair{net::host_mac(0), net::host_mac(1)}] = 0;
-  view.in_port_by_pair[net::MacPair{net::host_mac(2), net::host_mac(1)}] = 2;
-  f.collector.update_route_view(view);
-
+  // Two flows on the base uplink: 0->4 fast, 1->4 slow. Host 1 shares host
+  // 0's edge switch (port 1), and routing to host 4 is destination-based.
   std::uint64_t seq_a = 0;
   std::uint64_t seq_b = 0;
   for (int i = 0; i < 4000; ++i) {
     f.sim.schedule_at(i * 2000, [&f, &seq_a, i] {
-      f.collector.handle_packet(make_data(0, 1, seq_a), 0);
+      f.collector.handle_packet(make_data(kSrc, kDst, seq_a), kInPort);
       seq_a += 1460;
     });
     if (i % 4 == 0) {
       f.sim.schedule_at(i * 2000 + 500, [&f, &seq_b] {
-        Packet p = make_data(2, 1, seq_b);
-        p.src_mac = net::host_mac(2);
-        p.src_ip = net::host_ip(2);
-        f.collector.handle_packet(p, 0);
+        f.collector.handle_packet(make_data(1, kDst, seq_b), 1);
         seq_b += 1460;
       });
     }
   }
   f.sim.run_until(4000 * 2000);
-  const auto flows = f.collector.flows_on_link(1);
+  const auto flows = f.collector.flows_on_link(kBasePort);
   ASSERT_EQ(flows.size(), 2u);
   EXPECT_GT(flows[0].rate_bps, flows[1].rate_bps);
-  EXPECT_EQ(flows[0].src_mac, net::host_mac(0));
+  EXPECT_EQ(flows[0].src_mac, net::host_mac(kSrc));
 }
 
 TEST(Collector, RawSampleRingBounded) {
@@ -295,7 +298,7 @@ TEST(Collector, ArpSamplesRecordedButNotTracked) {
 
 TEST(Collector, PureAcksTrackedWithoutRate) {
   Fixture f;
-  Packet ack = make_data(0, 1, 0, 0, 0);
+  Packet ack = make_data(kSrc, kDst, 0, 0, 0);
   ack.flags = net::kAck;
   ack.ack = 123456;
   for (int i = 0; i < 100; ++i) f.collector.handle_packet(ack, 0);
@@ -303,7 +306,7 @@ TEST(Collector, PureAcksTrackedWithoutRate) {
   const FlowRecord* rec = f.collector.flow_table().find(ack.flow_key());
   ASSERT_NE(rec, nullptr);
   EXPECT_FALSE(rec->estimator.has_estimate());
-  EXPECT_EQ(f.collector.link_utilization_bps(1), 0.0);
+  EXPECT_EQ(f.collector.link_utilization_bps(kBasePort), 0.0);
 }
 
 

@@ -433,13 +433,13 @@ net::Packet make_sample(int src, int dst, std::uint64_t seq) {
 }
 
 struct CollectorBed {
+  // A 2-host star: host h hangs off switch port h, so flow 0->1 enters by
+  // port 0 and leaves by port 1.
   explicit CollectorBed(core::CollectorConfig cfg)
-      : collector(sim, "c0", 99, cfg) {
-    net::SwitchRouteView view;
-    view.out_port_by_dst[net::host_mac(1)] = 1;
-    view.in_port_by_pair[net::MacPair{net::host_mac(0), net::host_mac(1)}] =
-        0;
-    collector.update_route_view(view);
+      : graph(net::make_star(2, net::LinkSpec{})),
+        collector(sim, "c0", graph.switch_node(0), cfg) {
+    collector.update_route_view(
+        net::SwitchRouteView(graph, graph.switch_node(0)));
     collector.set_link_capacity(1, 10'000'000'000);
     collector.subscribe_congestion(
         [this](const core::CongestionEvent&) { ++delivered; });
@@ -458,6 +458,7 @@ struct CollectorBed {
     sim.run_until(start + duration);
   }
 
+  net::TopologyGraph graph;
   sim::Simulation sim;
   core::Collector collector;
   int delivered = 0;

@@ -174,13 +174,25 @@ TEST(DirectedLink, HashAndEquality) {
 }
 
 TEST(SwitchRouteView, LookupsAndMisses) {
-  SwitchRouteView view;
-  view.out_port_by_dst[host_mac(4)] = 2;
-  view.in_port_by_pair[MacPair{host_mac(0), host_mac(4)}] = 1;
-  EXPECT_EQ(view.out_port(host_mac(4)), 2);
-  EXPECT_EQ(view.out_port(host_mac(5)), -1);
-  EXPECT_EQ(view.in_port(host_mac(0), host_mac(4)), 1);
-  EXPECT_EQ(view.in_port(host_mac(1), host_mac(4)), -1);
+  // k=4: host 4's base tree runs through core 2, host 6's through core 0.
+  const TopologyGraph g = make_fat_tree(4, LinkSpec{});
+  const TopologyShape& sh = g.shape();
+  ASSERT_EQ(base_core(4, sh.num_core), 2);
+  ASSERT_EQ(base_core(6, sh.num_core), 0);
+  const SwitchRouteView view(g, g.switch_node(sh.core_switch_index(2)));
+  EXPECT_EQ(view.out_port(host_mac(4)), 1);  // core port p faces pod p
+  EXPECT_EQ(view.out_port(host_mac(6)), -1);
+  // Host 6's shadow tree 2 is core (0 + 2) % 4 = 2.
+  EXPECT_EQ(view.out_port(host_mac(6, 2)), 1);
+  EXPECT_EQ(view.in_port(host_mac(0), host_mac(4)), 0);  // from pod 0
+  // Host 5 shares host 4's edge switch: its path never climbs.
+  EXPECT_EQ(view.in_port(host_mac(5), host_mac(4)), -1);
+}
+
+TEST(SwitchRouteView, DefaultViewMissesEverything) {
+  const SwitchRouteView view;
+  EXPECT_EQ(view.out_port(host_mac(4)), -1);
+  EXPECT_EQ(view.in_port(host_mac(0), host_mac(4)), -1);
 }
 
 // ---------------------------------------------------------------------------

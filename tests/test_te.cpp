@@ -75,8 +75,8 @@ TEST(TeState, OverlappingFlowsSum) {
   state.upsert(b.key) = b;
   const auto loads = state.link_loads();
   // The shared edge(0,0) uplink carries both.
-  const net::PathHop& up = f.routing.path(0, 4, 0).hops.front();
-  const net::PathHop& up_b = f.routing.path(1, 5, 0).hops.front();
+  const net::PathHop up = f.routing.path(0, 4, 0).hops.front();
+  const net::PathHop up_b = f.routing.path(1, 5, 0).hops.front();
   ASSERT_EQ(up.switch_node, up_b.switch_node);
   if (up.out_port == up_b.out_port) {
     EXPECT_DOUBLE_EQ(
