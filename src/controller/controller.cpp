@@ -22,7 +22,15 @@ Controller::Controller(sim::Simulation& simulation,
       channel_(simulation, config.channel),
       heartbeat_timer_(simulation, [this] { probe_switches(); }),
       epochs_(simulation) {
+  const auto nodes = static_cast<std::size_t>(graph.num_nodes());
+  switches_.resize(nodes);
+  collectors_.resize(nodes, nullptr);
   hosts_.resize(static_cast<std::size_t>(graph.num_hosts()), nullptr);
+  dead_.resize(nodes, false);
+  switch_queue_.resize(nodes);
+  switch_busy_.resize(nodes, false);
+  probe_applied_round_.resize(nodes, 0);
+  acked_flow_rules_.resize(nodes);
   register_metrics();
 }
 
@@ -59,12 +67,13 @@ void Controller::register_metrics() {
 
 void Controller::attach_switch(int graph_node, switchsim::Switch* sw,
                                int monitor_port) {
-  switches_[graph_node] = SwitchAttachment{sw, monitor_port};
+  switches_.at(static_cast<std::size_t>(graph_node)) =
+      SwitchAttachment{sw, monitor_port};
 }
 
 void Controller::attach_collector(int graph_node,
                                   core::Collector* collector) {
-  collectors_[graph_node] = collector;
+  collectors_.at(static_cast<std::size_t>(graph_node)) = collector;
 }
 
 void Controller::attach_host(int host_index, tcp::Host* host) {
@@ -72,23 +81,13 @@ void Controller::attach_host(int host_index, tcp::Host* host) {
 }
 
 void Controller::install_routes() {
-  // Reproducible iteration orders, built first: every traversal of the
-  // unordered switch/collector maps below (and in the failure plane) goes
-  // through these sorted key lists.
-  sorted_switch_nodes_.clear();
-  // planck-lint: allow(unordered-iteration) — collect-then-sort
-  for (const auto& [node, att] : switches_) sorted_switch_nodes_.push_back(node);
-  std::sort(sorted_switch_nodes_.begin(), sorted_switch_nodes_.end());
-  sorted_collector_nodes_.clear();
-  // planck-lint: allow(unordered-iteration) — collect-then-sort
-  for (const auto& [node, c] : collectors_) sorted_collector_nodes_.push_back(node);
-  std::sort(sorted_collector_nodes_.begin(), sorted_collector_nodes_.end());
-
   install_switch_rules();
   push_route_views();
   install_host_arp();
-  for (int node : sorted_switch_nodes_) {
-    SwitchAttachment& att = switches_.at(node);
+  bool any_switch = false;
+  for (const SwitchAttachment& att : switches_) {
+    if (att.sw == nullptr) continue;
+    any_switch = true;
     if (att.monitor_port >= 0) att.sw->set_mirroring(att.monitor_port);
   }
 
@@ -96,13 +95,13 @@ void Controller::install_routes() {
   // switch (synchronously — installation models out-of-band setup, not
   // channel traffic). Runtime reroutes version from here.
   const std::uint64_t install_epoch = epochs_.allocate_program();
-  for (int node : sorted_switch_nodes_) {
-    switchsim::Switch* sw = switches_.at(node).sw;
-    sw->stage_epoch(install_epoch);
-    sw->commit_epoch(install_epoch);
+  for (const SwitchAttachment& att : switches_) {
+    if (att.sw == nullptr) continue;
+    att.sw->stage_epoch(install_epoch);
+    att.sw->commit_epoch(install_epoch);
   }
 
-  if (config_.heartbeat_interval > 0 && !switches_.empty()) {
+  if (config_.heartbeat_interval > 0 && any_switch) {
     heartbeat_timer_.schedule(config_.heartbeat_interval);
   }
 }
@@ -131,8 +130,9 @@ void Controller::install_switch_rules() {
           int& seen = programmed[static_cast<std::size_t>(hop.switch_node)];
           if (seen == stamp) break;
           seen = stamp;
-          const auto it = switches_.find(hop.switch_node);
-          if (it == switches_.end()) continue;
+          switchsim::Switch* sw =
+              switches_[static_cast<std::size_t>(hop.switch_node)].sw;
+          if (sw == nullptr) continue;
           switchsim::RuleActions actions;
           actions.out_port = hop.out_port;
           // Egress switch restores the base MAC so the host accepts the
@@ -140,7 +140,7 @@ void Controller::install_switch_rules() {
           if (t != 0 && h + 1 == p.hops.size()) {
             actions.set_dst_mac = net::host_mac(d, 0);
           }
-          it->second.sw->rules().set_mac_rule(routing_mac, actions);
+          sw->rules().set_mac_rule(routing_mac, actions);
         }
       }
     }
@@ -149,8 +149,9 @@ void Controller::install_switch_rules() {
 
 void Controller::push_route_views() {
   // A view only points at graph_, which outlives the collectors.
-  for (int node : sorted_collector_nodes_) {
-    core::Collector* collector = collectors_.at(node);
+  for (int node = 0; node < graph_.num_nodes(); ++node) {
+    core::Collector* collector = collectors_[static_cast<std::size_t>(node)];
+    if (collector == nullptr) continue;
     collector->update_route_view(net::SwitchRouteView(graph_, node));
     for (int port = 0; port < graph_.num_ports(node); ++port) {
       if (graph_.wired(node, port)) {
@@ -190,14 +191,14 @@ std::uint64_t Controller::reroute_flow(const net::FlowKey& key, int tree,
   assert(!base.hops.empty());
   const int ingress_node = base.hops.front().switch_node;
   const int ingress_in_port = base.hops.front().in_port;
-  const auto it = switches_.find(ingress_node);
-  if (it == switches_.end()) {
+  switchsim::Switch* ingress =
+      switches_[static_cast<std::size_t>(ingress_node)].sw;
+  if (ingress == nullptr) {
     // Degenerate testbed with no ingress attached: nothing to install, the
     // assignment itself is the program.
     epochs_.commit(key, epoch);
     return epoch;
   }
-  switchsim::Switch* ingress = it->second.sw;
 
   if (mechanism == RerouteMechanism::kArp) {
     ++arp_reroutes_;
@@ -269,7 +270,8 @@ std::uint64_t Controller::reroute_flow(const net::FlowKey& key, int tree,
                 [ingress, epoch] { return ingress->commit_epoch(epoch); },
                 [this, ingress_node, k, epoch](bool committed) {
                   if (committed) {
-                    acked_flow_rules_[ingress_node][k] = epoch;
+                    acked_flow_rules_[static_cast<std::size_t>(
+                        ingress_node)][k] = epoch;
                     on_epoch_committed(k, epoch, ingress_node);
                   } else {
                     fail_epoch(k, epoch);
@@ -283,21 +285,24 @@ std::uint64_t Controller::reroute_flow(const net::FlowKey& key, int tree,
 }
 
 void Controller::run_on_switch(int node, std::function<void()> op) {
-  if (switch_busy_.insert(node).second) {
+  const auto n = static_cast<std::size_t>(node);
+  if (!switch_busy_[n]) {
+    switch_busy_[n] = true;
     op();
     return;
   }
-  switch_queue_[node].push_back(std::move(op));
+  switch_queue_[n].push_back(std::move(op));
 }
 
 void Controller::switch_op_done(int node) {
-  auto it = switch_queue_.find(node);
-  if (it == switch_queue_.end() || it->second.empty()) {
-    switch_busy_.erase(node);
+  std::deque<std::function<void()>>& queue =
+      switch_queue_[static_cast<std::size_t>(node)];
+  if (queue.empty()) {
+    switch_busy_[static_cast<std::size_t>(node)] = false;
     return;
   }
-  std::function<void()> next = std::move(it->second.front());
-  it->second.pop_front();
+  std::function<void()> next = std::move(queue.front());
+  queue.pop_front();
   next();
 }
 
@@ -334,15 +339,15 @@ void Controller::maybe_reconcile_flow_rule(const net::FlowKey& key,
   // erase the rule under a fresh epoch so the data plane converges on the
   // newest program.
   if (epochs_.in_flight(key)) return;  // let the newest attempt settle
-  const auto node_it = acked_flow_rules_.find(ingress_node);
-  if (node_it == acked_flow_rules_.end()) return;
-  const auto rule_it = node_it->second.find(key);
-  if (rule_it == node_it->second.end()) return;
+  const auto& acked =
+      acked_flow_rules_[static_cast<std::size_t>(ingress_node)];
+  const auto rule_it = acked.find(key);
+  if (rule_it == acked.end()) return;
   if (rule_it->second >= epochs_.newest_epoch(key)) return;  // rule is newest
 
-  const auto sw_it = switches_.find(ingress_node);
-  if (sw_it == switches_.end()) return;
-  switchsim::Switch* ingress = sw_it->second.sw;
+  switchsim::Switch* ingress =
+      switches_[static_cast<std::size_t>(ingress_node)].sw;
+  if (ingress == nullptr) return;
   const std::uint64_t erase_epoch = epochs_.open(key, tree_of(key), tree_of(key));
   const sim::Duration install = config_.of_install_min;
   PLANCK_TRACE_ARGS(sim_, "controller", "reconcile_erase",
@@ -367,7 +372,8 @@ void Controller::maybe_reconcile_flow_rule(const net::FlowKey& key,
               },
               [this, ingress_node, key, erase_epoch](bool committed) {
                 if (committed) {
-                  acked_flow_rules_[ingress_node].erase(key);
+                  acked_flow_rules_[static_cast<std::size_t>(ingress_node)]
+                      .erase(key);
                   on_epoch_committed(key, erase_epoch, ingress_node);
                 } else {
                   fail_epoch(key, erase_epoch);
@@ -425,8 +431,9 @@ int Controller::first_alive_tree(int src_host, int dst_host) const {
 
 void Controller::probe_switches() {
   const std::uint64_t round = ++probe_round_;
-  for (int node : sorted_switch_nodes_) {
-    switchsim::Switch* sw = switches_.at(node).sw;
+  for (int node = 0; node < graph_.num_nodes(); ++node) {
+    switchsim::Switch* sw = switches_[static_cast<std::size_t>(node)].sw;
+    if (sw == nullptr) continue;
     channel_.call([sw] { return sw->online(); },
                   [this, node, round](bool alive) {
                     // A dead-switch probe burns its whole retry budget
@@ -436,7 +443,8 @@ void Controller::probe_switches() {
                     // after a fresh "alive" one would flap the switch.
                     // Apply a verdict only if its round is newer than the
                     // last one applied for this switch.
-                    std::uint64_t& applied = probe_applied_round_[node];
+                    std::uint64_t& applied =
+                        probe_applied_round_[static_cast<std::size_t>(node)];
                     if (round <= applied) {
                       ++stale_probe_results_;
                       return;
@@ -453,8 +461,17 @@ void Controller::probe_switches() {
   heartbeat_timer_.schedule(config_.heartbeat_interval);
 }
 
+std::vector<int> Controller::dead_switches() const {
+  std::vector<int> out;
+  for (std::size_t node = 0; node < dead_.size(); ++node) {
+    if (dead_[node]) out.push_back(static_cast<int>(node));
+  }
+  return out;
+}
+
 void Controller::mark_switch_dead(int node) {
-  if (!dead_switches_.insert(node).second) return;
+  if (dead_[static_cast<std::size_t>(node)]) return;
+  dead_[static_cast<std::size_t>(node)] = true;
   for (const auto& handler : switch_status_handlers_) handler(node, false);
   // Every link the dead switch feeds is effectively down for routing.
   for (int port = 0; port < graph_.num_ports(node); ++port) {
@@ -467,7 +484,8 @@ void Controller::mark_switch_dead(int node) {
 }
 
 void Controller::mark_switch_alive(int node) {
-  if (dead_switches_.erase(node) == 0) return;
+  if (!dead_[static_cast<std::size_t>(node)]) return;
+  dead_[static_cast<std::size_t>(node)] = false;
   for (const auto& handler : switch_status_handlers_) handler(node, true);
   for (int port = 0; port < graph_.num_ports(node); ++port) {
     if (!graph_.wired(node, port)) continue;
@@ -485,15 +503,15 @@ void Controller::mark_switch_alive(int node) {
 }
 
 void Controller::resync_switch(int node) {
-  const auto it = acked_flow_rules_.find(node);
-  if (it == acked_flow_rules_.end() || it->second.empty()) return;
+  auto& acked = acked_flow_rules_[static_cast<std::size_t>(node)];
+  if (acked.empty()) return;
   std::vector<net::FlowKey> keys;
-  keys.reserve(it->second.size());
+  keys.reserve(acked.size());
   // Collect-then-sort: the acked-rule map is unordered.
-  for (const auto& [key, epoch] : it->second) keys.push_back(key);
+  for (const auto& [key, epoch] : acked) keys.push_back(key);
   std::sort(keys.begin(), keys.end());
   // The acked set is rebuilt as the reinstalls commit.
-  it->second.clear();
+  acked.clear();
   for (const net::FlowKey& key : keys) {
     ++resyncs_;
     PLANCK_TRACE_ARGS(sim_, "controller", "resync_flow_rule",
@@ -548,9 +566,8 @@ void Controller::failover_dead_paths() {
   std::unordered_map<net::FlowKey, int, net::FlowKeyHash> candidates;
   // planck-lint: allow(unordered-iteration) — collect-then-sort below
   for (const auto& [key, tree] : tree_assignment_) candidates.emplace(key, tree);
-  for (int node : sorted_collector_nodes_) {
-    const core::Collector* collector = collectors_.at(node);
-    if (!collector->online()) continue;
+  for (const core::Collector* collector : collectors_) {
+    if (collector == nullptr || !collector->online()) continue;
     // planck-lint: allow(unordered-iteration) — collect-then-sort below
     for (const auto& [key, rec] : collector->flow_table().flows()) {
       candidates.emplace(key, tree_of(key));
@@ -580,39 +597,20 @@ void Controller::failover_dead_paths() {
 void Controller::subscribe_congestion(CongestionHandler handler) {
   congestion_handlers_.push_back(std::move(handler));
   if (congestion_handlers_.size() == 1) {
-    // First subscriber: hook every collector in node order, relaying with
-    // one control-channel latency. (Computed locally: applications may
-    // subscribe before install_routes builds the sorted lists.)
-    std::vector<int> nodes;
-    nodes.reserve(collectors_.size());
-    // planck-lint: allow(unordered-iteration) — collect-then-sort
-    for (const auto& [node, collector] : collectors_) nodes.push_back(node);
-    std::sort(nodes.begin(), nodes.end());
-    for (int node : nodes) {
-      core::Collector* collector = collectors_.at(node);
-      sim::Simulation& collector_sim = collector->sim();
-      if (&collector_sim != &sim_) {
-        // Sharded engine: the collector fires on its switch's data
-        // partition. Hop to the control partition first (one lookahead
-        // grid step, merged at the window barrier), then take the usual
-        // control-channel latency from there.
-        collector->subscribe_congestion(
-            [this, &collector_sim](const core::CongestionEvent& e) {
-              collector_sim.post(sim_, collector_sim.cross_lookahead(),
-                                 [this, e] {
-                                   channel_.send([this, e] {
-                                     for (const auto& h : congestion_handlers_)
-                                       h(e);
-                                   });
-                                 });
+    // First subscriber: hook every collector in node order. An event hops
+    // from the collector's partition to the control partition (none when
+    // unsharded), then takes one control-channel latency.
+    for (core::Collector* collector : collectors_) {
+      if (collector == nullptr) continue;
+      sim::Simulation* collector_sim = &collector->sim();
+      collector->subscribe_congestion(
+          [this, collector_sim](const core::CongestionEvent& e) {
+            collector_sim->relay(sim_, [this, e] {
+              channel_.send([this, e] {
+                for (const auto& h : congestion_handlers_) h(e);
+              });
             });
-        continue;
-      }
-      collector->subscribe_congestion([this](const core::CongestionEvent& e) {
-        channel_.send([this, e] {
-          for (const auto& h : congestion_handlers_) h(e);
-        });
-      });
+          });
     }
   }
 }
@@ -620,26 +618,18 @@ void Controller::subscribe_congestion(CongestionHandler handler) {
 void Controller::query_link_utilization(int switch_node, int out_port,
                                         std::function<void(double)> reply,
                                         std::function<void()> on_failure) {
-  const auto it = collectors_.find(switch_node);
-  if (it == collectors_.end()) {
-    if (on_failure) sim_.schedule(0, [on_failure] { on_failure(); });
+  assert(reply && on_failure);
+  const auto node = static_cast<std::size_t>(switch_node);  // < 0 wraps
+  core::Collector* collector =
+      node < collectors_.size() ? collectors_[node] : nullptr;
+  if (collector == nullptr) {
+    sim_.schedule(0, [on_failure] { on_failure(); });
     return;
   }
-  core::Collector* collector = it->second;
-  if (!on_failure) {
-    // Legacy fire-and-forget path: a lost leg silently swallows the query.
-    channel_.send([this, collector, out_port, reply = std::move(reply)] {
-      if (!collector->online()) return;  // a dead process never answers
-      const double util = collector->link_utilization_bps(out_port);
-      channel_.send([reply, util] { reply(util); });
-    });
-    return;
-  }
-  // Failure-aware path: both legs stay fire-and-forget (the low-latency
-  // API must not grow retries), but a deadline timer fires the failure
-  // callback when no reply landed — loss, duplicate-then-loss, or a dead
-  // collector all surface the same way. Exactly one of reply/on_failure
-  // runs, once.
+  // Both legs stay fire-and-forget (the low-latency API must not grow
+  // retries), but a deadline timer fires the failure callback when no
+  // reply landed — loss, duplicate-then-loss, or a dead collector all
+  // surface the same way. Exactly one of reply/on_failure runs, once.
   auto answered = std::make_shared<bool>(false);
   channel_.send([this, collector, out_port, reply = std::move(reply),
                  answered] {

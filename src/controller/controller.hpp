@@ -59,9 +59,8 @@ struct ControllerConfig {
   /// one fully-exhausted reroute RPC budget (~255 ms of retries against a
   /// freshly-dead target) plus a heartbeat-triggered retry.
   sim::Duration max_blackhole_window = sim::milliseconds(300);
-  /// Reply deadline for query_link_utilization when the caller asks for a
-  /// failure callback; both legs are fire-and-forget, so only a timer can
-  /// surface a lost query.
+  /// Reply deadline for query_link_utilization; both legs are
+  /// fire-and-forget, so only a timer can surface a lost query.
   sim::Duration query_timeout = sim::milliseconds(2);
   std::uint64_t seed = 1;
 };
@@ -119,14 +118,12 @@ class Controller {
 
   /// Forwards a statistics query to the right collector; the reply arrives
   /// after a control-channel round trip. This is the drop-in low-latency
-  /// statistics API of §3.3. Both legs are fire-and-forget: without
-  /// `on_failure` a lost message silently swallows the query (legacy
-  /// behaviour); with it, a reply missing after `config.query_timeout` —
-  /// or an unattached/offline collector — fires the failure callback
-  /// exactly once instead.
+  /// statistics API of §3.3. Both legs are fire-and-forget, so a reply
+  /// missing after `config.query_timeout` — or a node with no collector,
+  /// or an offline one — fires `on_failure` instead, exactly once.
   void query_link_utilization(int switch_node, int out_port,
                               std::function<void(double)> reply,
-                              std::function<void()> on_failure = nullptr);
+                              std::function<void()> on_failure);
 
   std::uint64_t arp_reroutes() const { return arp_reroutes_; }
   std::uint64_t openflow_reroutes() const { return openflow_reroutes_; }
@@ -159,7 +156,8 @@ class Controller {
   /// endpoint switch is believed dead.
   bool link_up(int node, int port) const;
   bool switch_alive(int node) const {
-    return dead_switches_.find(node) == dead_switches_.end();
+    const auto i = static_cast<std::size_t>(node);  // negative: past the end
+    return i >= dead_.size() || !dead_[i];
   }
   /// True when every hop of `path` crosses believed-alive equipment.
   bool path_alive(const net::RoutePath& path) const;
@@ -181,9 +179,8 @@ class Controller {
   std::uint64_t failovers() const { return failovers_; }
   /// Reroute RPCs that exhausted their retry budget (target switch dead).
   std::uint64_t failed_reroutes() const { return failed_reroutes_; }
-  const std::unordered_set<int>& dead_switches() const {
-    return dead_switches_;
-  }
+  /// Switches currently believed dead, ascending node order.
+  std::vector<int> dead_switches() const;
 
  private:
   struct SwitchAttachment {
@@ -240,13 +237,11 @@ class Controller {
   sim::Rng rng_;
   ControlChannel channel_;
 
-  std::unordered_map<int, SwitchAttachment> switches_;   // by graph node
-  std::unordered_map<int, core::Collector*> collectors_;  // by graph node
-  std::vector<tcp::Host*> hosts_;                          // by host index
-  /// switches_ / collectors_ keys in ascending node order, for iteration
-  /// that must be reproducible across runs.
-  std::vector<int> sorted_switch_nodes_;
-  std::vector<int> sorted_collector_nodes_;
+  // Indexed by graph node (null where nothing is attached); iterating in
+  // index order is iterating in node order.
+  std::vector<SwitchAttachment> switches_;
+  std::vector<core::Collector*> collectors_;
+  std::vector<tcp::Host*> hosts_;  // by host index
 
   std::unordered_map<net::FlowKey, int, net::FlowKeyHash> tree_assignment_;
   std::vector<CongestionHandler> congestion_handlers_;
@@ -254,25 +249,25 @@ class Controller {
   std::vector<SwitchStatusHandler> switch_status_handlers_;
 
   std::unordered_set<net::DirectedLink, net::DirectedLinkHash> down_links_;
-  std::unordered_set<int> dead_switches_;
+  std::vector<bool> dead_;  // by graph node: believed dead
   sim::Timer heartbeat_timer_;
 
   EpochManager epochs_;
-  /// Per-switch route-program op serialization (see run_on_switch).
-  std::unordered_map<int, std::deque<std::function<void()>>> switch_queue_;
-  std::unordered_set<int> switch_busy_;
+  /// Per-switch route-program op serialization (see run_on_switch), by
+  /// graph node.
+  std::vector<std::deque<std::function<void()>>> switch_queue_;
+  std::vector<bool> switch_busy_;
   /// Flow rules the switch acked end-to-end, by ingress node: the resync
   /// set for crash recovery, and the stale-rule set for reconciliation.
-  std::unordered_map<
-      int, std::unordered_map<net::FlowKey, std::uint64_t, net::FlowKeyHash>>
+  std::vector<std::unordered_map<net::FlowKey, std::uint64_t, net::FlowKeyHash>>
       acked_flow_rules_;
   /// First time the controller saw each flow's assigned path dead.
   std::unordered_map<net::FlowKey, sim::Time, net::FlowKeyHash>
       blackholed_since_;
   /// Heartbeat probe sequencing: a completion from round R is applied only
-  /// if R is newer than the last round applied for that switch.
+  /// if R is newer than the last round applied for that switch (by node).
   std::uint64_t probe_round_ = 0;
-  std::unordered_map<int, std::uint64_t> probe_applied_round_;
+  std::vector<std::uint64_t> probe_applied_round_;
 
   std::uint64_t arp_reroutes_ = 0;
   std::uint64_t openflow_reroutes_ = 0;

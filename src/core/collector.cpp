@@ -76,17 +76,15 @@ void Collector::set_online(bool online) {
 }
 
 void Collector::set_contribution(FlowRecord& rec, double rate) {
-  PortUtil& util = util_bps_[rec.out_port];
+  PortState& util = port_state(rec.out_port);
   if (rec.contributing_bps == 0.0 && rate != 0.0) ++util.flows;
   util.bps += rate - rec.contributing_bps;
   rec.contributing_bps = rate;
 }
 
 void Collector::release_contribution(int out_port, double bps) {
-  if (bps <= 0.0 || out_port < 0) return;
-  const auto it = util_bps_.find(out_port);
-  if (it == util_bps_.end()) return;
-  PortUtil& util = it->second;
+  if (bps <= 0.0 || find_port(out_port) == nullptr) return;
+  PortState& util = ports_[static_cast<std::size_t>(out_port)];
   util.bps -= bps;
   if (util.flows > 0) --util.flows;
   if (util.flows == 0) util.bps = 0.0;  // no contributors: no FP dust
@@ -146,8 +144,8 @@ void Collector::handle_packet(const net::Packet& packet, int /*in_port*/) {
 
 double Collector::link_utilization_bps(int out_port) const {
   if (!online_) return 0.0;
-  const auto it = util_bps_.find(out_port);
-  return it == util_bps_.end() ? 0.0 : std::max(0.0, it->second.bps);
+  const PortState* port = find_port(out_port);
+  return port == nullptr ? 0.0 : std::max(0.0, port->bps);
 }
 
 std::vector<FlowRate> Collector::flows_on_link(int out_port) const {
@@ -173,22 +171,25 @@ void Collector::maybe_fire_event(int out_port, bool from_sweep) {
     ++events_deferred_to_sweep_;
     return;
   }
-  const auto cap_it = link_capacity_.find(out_port);
-  if (cap_it == link_capacity_.end()) return;
+  if (find_port(out_port) == nullptr) return;
+  PortState& port = ports_[static_cast<std::size_t>(out_port)];
+  if (port.capacity_bps < 0) return;
   const double util = link_utilization_bps(out_port);
   if (util < config_.congestion_threshold *
-                 static_cast<double>(cap_it->second)) {
+                 static_cast<double>(port.capacity_bps)) {
     return;
   }
-  auto& last = last_event_[out_port];
-  if (last != 0 && sim_.now() - last < config_.event_debounce) return;
-  last = sim_.now();
+  if (port.last_event != 0 &&
+      sim_.now() - port.last_event < config_.event_debounce) {
+    return;
+  }
+  port.last_event = sim_.now();
 
   CongestionEvent event;
   event.switch_node = switch_node_;
   event.out_port = out_port;
   event.utilization_bps = util;
-  event.capacity_bps = cap_it->second;
+  event.capacity_bps = port.capacity_bps;
   event.detected_at = sim_.now();
   event.flows = flows_on_link(out_port);
   ++events_fired_;
@@ -306,12 +307,9 @@ void Collector::sweep() {
   // congestion once per period, port-ordered — at most one event per
   // congested link instead of one per hot sample.
   if (mode_ == BackpressureMode::kSweepOnly) {
-    std::vector<int> ports;
-    ports.reserve(link_capacity_.size());
-    // planck-lint: allow(unordered-iteration) — collect-then-sort
-    for (const auto& [port, cap] : link_capacity_) ports.push_back(port);
-    std::sort(ports.begin(), ports.end());
-    for (int port : ports) maybe_fire_event(port, /*from_sweep=*/true);
+    for (std::size_t port = 0; port < ports_.size(); ++port) {
+      maybe_fire_event(static_cast<int>(port), /*from_sweep=*/true);
+    }
   }
 
   // Per-sweep counter tracks, emitted only while the sample stream is

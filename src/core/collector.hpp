@@ -1,10 +1,10 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/flow_table.hpp"
@@ -123,8 +123,8 @@ class Collector : public net::Node {
   const std::string& name() const { return name_; }
   int switch_node() const { return switch_node_; }
   /// The partition this collector's state lives on (its switch's). The
-  /// controller uses it to route congestion subscriptions across partition
-  /// boundaries (Simulation::post) under the sharded engine.
+  /// controller relays congestion events from it to the control partition
+  /// (Simulation::relay).
   sim::Simulation& sim() { return sim_; }
 
   // --- sample intake ------------------------------------------------------
@@ -138,7 +138,8 @@ class Collector : public net::Node {
   /// Declares the capacity of the link on `out_port` (needed to judge
   /// congestion).
   void set_link_capacity(int out_port, std::int64_t bps) {
-    link_capacity_[out_port] = bps;
+    assert(bps >= 0);
+    port_state(out_port).capacity_bps = bps;
   }
 
   // --- queries (§4.2) -----------------------------------------------------
@@ -213,15 +214,33 @@ class Collector : public net::Node {
   // (its switch's); nothing here is touched cross-thread.
   PLANCK_PARTITION_OWNED;
 
-  /// Per-port utilization aggregate. `flows` counts the records currently
-  /// contributing a nonzero rate; when it returns to zero, `bps` is
-  /// snapped to exactly 0.0 — incremental FP add/subtract is not
-  /// associative, so without the snap a fully unwound port would keep a
-  /// few ULPs of dust and never read as idle again.
-  struct PortUtil {
+  /// Per-output-port state. `bps` is the incrementally maintained sum of
+  /// fresh flow-rate estimates on the port (the sweep removes stale
+  /// contributions); `flows` counts the records currently contributing a
+  /// nonzero rate, and when it returns to zero `bps` is snapped to exactly
+  /// 0.0 — incremental FP add/subtract is not associative, so without the
+  /// snap a fully unwound port would keep a few ULPs of dust and never
+  /// read as idle again.
+  struct PortState {
     double bps = 0.0;
     std::uint32_t flows = 0;
+    std::int64_t capacity_bps = -1;  // < 0 until set_link_capacity
+    sim::Time last_event = 0;        // last congestion event fired
   };
+
+  /// The state of `out_port` (>= 0), growing the table on first use.
+  PortState& port_state(int out_port) {
+    assert(out_port >= 0);
+    const auto i = static_cast<std::size_t>(out_port);
+    if (i >= ports_.size()) ports_.resize(i + 1);
+    return ports_[i];
+  }
+  /// nullptr for a port this collector has never heard of (a negative
+  /// port wraps past the end).
+  const PortState* find_port(int out_port) const {
+    const auto i = static_cast<std::size_t>(out_port);
+    return i < ports_.size() ? &ports_[i] : nullptr;
+  }
 
   void on_rate_update(FlowRecord& rec, double old_rate);
   /// Threshold + debounce check for `out_port`; `from_sweep` bypasses the
@@ -252,11 +271,7 @@ class Collector : public net::Node {
   net::SwitchRouteView route_view_;
   FlowTable flows_;
 
-  // Incrementally maintained: sum of fresh flow-rate estimates per output
-  // port. The sweep removes stale contributions.
-  std::unordered_map<int, PortUtil> util_bps_;
-  std::unordered_map<int, std::int64_t> link_capacity_;
-  std::unordered_map<int, sim::Time> last_event_;
+  std::vector<PortState> ports_;  // by output port
 
   std::deque<Sample> ring_;
   std::vector<CongestionHandler> congestion_handlers_;

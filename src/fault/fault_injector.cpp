@@ -8,7 +8,9 @@ namespace planck::fault {
 
 FaultInjector::FaultInjector(sim::Simulation& simulation,
                              workload::Testbed& testbed, std::uint64_t seed)
-    : sim_(simulation), testbed_(testbed), rng_(seed) {}
+    : sim_(simulation), testbed_(testbed), rng_(seed),
+      switch_depth_(static_cast<std::size_t>(testbed.graph().num_nodes())),
+      collector_depth_(switch_depth_.size()) {}
 
 net::DirectedLink FaultInjector::cable_id(int node, int port) const {
   const net::PortRef peer = testbed_.graph().peer(node, port);
@@ -35,13 +37,13 @@ void FaultInjector::restore_link(int node, int port) {
 }
 
 void FaultInjector::crash_switch(int node) {
-  if (++switch_depth_[node] != 1) return;
+  if (++switch_depth_.at(static_cast<std::size_t>(node)) != 1) return;
   testbed_.set_switch_online(node, false);
   record(FaultKind::kSwitchCrash, node, -1);
 }
 
 void FaultInjector::restore_switch(int node) {
-  int& depth = switch_depth_[node];
+  int& depth = switch_depth_.at(static_cast<std::size_t>(node));
   assert(depth > 0);
   if (--depth != 0) return;
   testbed_.set_switch_online(node, true);
@@ -49,13 +51,13 @@ void FaultInjector::restore_switch(int node) {
 }
 
 void FaultInjector::crash_collector(int node) {
-  if (++collector_depth_[node] != 1) return;
+  if (++collector_depth_.at(static_cast<std::size_t>(node)) != 1) return;
   testbed_.set_collector_online(node, false);
   record(FaultKind::kCollectorCrash, node, -1);
 }
 
 void FaultInjector::restore_collector(int node) {
-  int& depth = collector_depth_[node];
+  int& depth = collector_depth_.at(static_cast<std::size_t>(node));
   assert(depth > 0);
   if (--depth != 0) return;
   testbed_.set_collector_online(node, true);
@@ -158,14 +160,21 @@ bool FaultInjector::link_down(int node, int port) const {
   return it != link_depth_.end() && it->second > 0;
 }
 
+namespace {
+
+bool held(const std::vector<int>& depth, int node) {
+  const auto i = static_cast<std::size_t>(node);  // negative: past the end
+  return i < depth.size() && depth[i] > 0;
+}
+
+}  // namespace
+
 bool FaultInjector::switch_down(int node) const {
-  const auto it = switch_depth_.find(node);
-  return it != switch_depth_.end() && it->second > 0;
+  return held(switch_depth_, node);
 }
 
 bool FaultInjector::collector_down(int node) const {
-  const auto it = collector_depth_.find(node);
-  return it != collector_depth_.end() && it->second > 0;
+  return held(collector_depth_, node);
 }
 
 void FaultInjector::check_epoch_invariants() {

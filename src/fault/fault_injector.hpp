@@ -113,8 +113,8 @@ class FaultInjector {
 
   std::unordered_map<net::DirectedLink, int, net::DirectedLinkHash>
       link_depth_;
-  std::unordered_map<int, int> switch_depth_;
-  std::unordered_map<int, int> collector_depth_;
+  std::vector<int> switch_depth_;     // by graph node
+  std::vector<int> collector_depth_;  // by graph node
   std::vector<FaultRecord> history_;
 };
 

@@ -1,5 +1,6 @@
 #include "sim/simulation.hpp"
 
+#include <cassert>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -27,12 +28,11 @@ void Simulation::attach_hub(ParallelEngine* hub, int partition_id,
 void Simulation::post(Simulation& dst, Duration delay,
                       EventQueue::Callback cb) {
   if (delay < 0) delay = 0;
-  if (hub_ == nullptr || &dst == this) {
-    // Unsharded (or self-directed) post: a plain schedule, byte-identical
-    // to the pre-partitioning call path.
-    dst.schedule_at(now_ + delay, std::move(cb));
+  if (&dst == this) {
+    schedule_at(now_ + delay, std::move(cb));
     return;
   }
+  assert(hub_ != nullptr && "cross-simulation post needs a ParallelEngine");
   hub_->enqueue(partition_id_, dst, now_ + delay, std::move(cb));
 }
 
@@ -40,12 +40,21 @@ void Simulation::post_packet(Simulation& dst, Duration delay, void* target,
                              std::uint32_t aux, PacketFn fn,
                              const net::Packet& packet) {
   if (delay < 0) delay = 0;
-  if (hub_ == nullptr || &dst == this) {
-    dst.schedule_packet_at(now_ + delay, target, aux, fn, packet);
+  if (&dst == this) {
+    schedule_packet_at(now_ + delay, target, aux, fn, packet);
     return;
   }
+  assert(hub_ != nullptr && "cross-simulation post needs a ParallelEngine");
   hub_->enqueue_packet(partition_id_, dst, now_ + delay, target, aux, fn,
                        packet);
+}
+
+void Simulation::relay(Simulation& dst, EventQueue::Callback cb) {
+  if (&dst == this) {
+    cb();
+    return;
+  }
+  post(dst, cross_lookahead_, std::move(cb));
 }
 
 void Simulation::run() {

@@ -76,8 +76,9 @@ class Simulation {
   }
 
   /// Schedules `cb` on partition `dst` at `delay` from *this* partition's
-  /// clock. Same-partition (or unsharded) calls degrade to a plain
-  /// schedule; cross-partition calls ride the engine's mailbox and are
+  /// clock. Same-partition calls degrade to a plain schedule (an
+  /// unsharded Simulation only ever posts to itself; posting elsewhere
+  /// needs a hub); cross-partition calls ride the engine's mailbox and are
   /// merged into `dst` at the next lookahead barrier (deterministically:
   /// source partition id, then FIFO). For data->data traffic the delay
   /// must be >= the engine's conservative lookahead or delivery lands in
@@ -91,6 +92,13 @@ class Simulation {
   /// no-type-erasure path across partitions.
   void post_packet(Simulation& dst, Duration delay, void* target,
                    std::uint32_t aux, PacketFn fn, const net::Packet& packet);
+
+  /// A control hop to partition `dst`: runs `cb` right now when `dst` is
+  /// this simulation, otherwise posts it one engine lookahead later (it
+  /// lands at the next window barrier). Data-plane components use it to
+  /// hand notifications to the control partition without knowing whether
+  /// the run is sharded.
+  void relay(Simulation& dst, EventQueue::Callback cb);
 
   /// Cancels a pending event. O(1); safe no-op if the event already ran.
   void cancel(EventId id) { queue_.cancel(id); }
@@ -145,9 +153,6 @@ class Simulation {
                   std::string component);
   /// Partition id within the engine (0 when unsharded).
   int partition_id() const { return partition_id_; }
-  /// The engine's conservative lookahead; 0 when unsharded. Boundary
-  /// components use this as the minimum cross-partition hop delay.
-  Duration cross_lookahead() const { return cross_lookahead_; }
   /// Earliest pending event's time. Precondition: pending().
   Time next_event_time() { return queue_.next_time(); }
   /// Telemetry component name ("sim", or "sim.p<N>" once sharded).
@@ -174,11 +179,10 @@ class Simulation {
   std::uint64_t digest_ = kFnvOffset;
   obs::Telemetry* telemetry_ = nullptr;
   // Sharded-engine wiring (attach_hub): null/defaults when this Simulation
-  // is a standalone engine, which keeps every pre-partitioning call path
-  // byte-identical.
+  // is a standalone engine, whose posts never leave it.
   ParallelEngine* hub_ = nullptr;
   int partition_id_ = 0;
-  Duration cross_lookahead_ = 0;
+  Duration cross_lookahead_ = 0;  // the engine's lookahead; relay()'s hop
   std::string component_ = "sim";
 };
 

@@ -1,7 +1,7 @@
 #include "workload/testbed.hpp"
 
-#include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <string>
 
 #include "sim/parallel.hpp"
@@ -11,47 +11,49 @@ namespace planck::workload {
 Testbed::Testbed(sim::Simulation& simulation, const net::TopologyGraph& graph,
                  const TestbedConfig& config)
     : sim_(simulation), graph_(graph), config_(config),
-      link_rng_(config.seed) {
+      link_rng_(config.seed),
+      nodes_(static_cast<std::size_t>(graph.num_nodes())) {
+  for (NodeSlot& slot : nodes_) slot.sim = &simulation;
   build();
 }
 
 Testbed::Testbed(sim::ParallelEngine& engine, const net::PartitionMap& map,
                  const net::TopologyGraph& graph, const TestbedConfig& config)
-    : sim_(engine.control()), engine_(&engine), pmap_(map), graph_(graph),
-      config_(config), link_rng_(config.seed) {
+    : sim_(engine.control()), graph_(graph), config_(config),
+      link_rng_(config.seed),
+      nodes_(static_cast<std::size_t>(graph.num_nodes())) {
   assert(map.num_partitions == engine.data_partitions());
+  for (int node = 0; node < graph_.num_nodes(); ++node) {
+    nodes_[static_cast<std::size_t>(node)].sim =
+        &engine.partition(map.partition_of(node));
+  }
   build();
-}
-
-sim::Simulation& Testbed::sim_for_node(int node) {
-  if (engine_ == nullptr) return sim_;
-  return engine_->partition(pmap_.partition_of(node));
 }
 
 void Testbed::build() {
   // Instantiate hosts and switches, each on its node's partition.
   for (int node = 0; node < graph_.num_nodes(); ++node) {
-    sim::Simulation& node_sim = sim_for_node(node);
+    NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
+    int ports = graph_.num_ports(node);
     if (graph_.is_host(node)) {
       const int idx = graph_.host_index(node);
-      auto host =
-          std::make_unique<tcp::Host>(node_sim, idx, config_.host_config);
       if (static_cast<int>(hosts_.size()) <= idx) {
         hosts_.resize(static_cast<std::size_t>(idx) + 1);
       }
-      hosts_[static_cast<std::size_t>(idx)] = std::move(host);
+      hosts_[static_cast<std::size_t>(idx)] =
+          std::make_unique<tcp::Host>(*slot.sim, idx, config_.host_config);
+      slot.host = hosts_[static_cast<std::size_t>(idx)].get();
     } else {
-      const int data_ports = graph_.num_ports(node);
-      const int total_ports = data_ports + (config_.enable_planck ? 1 : 0);
+      if (config_.enable_planck) ++ports;  // the monitor port
       switchsim::SwitchConfig sw_config = config_.switch_config;
       sw_config.seed ^= static_cast<std::uint64_t>(
           0x100001 * (graph_.switch_index(node) + 1));
-      auto sw = std::make_unique<switchsim::Switch>(
-          node_sim, "sw" + std::to_string(graph_.switch_index(node)),
-          total_ports, sw_config);
-      switch_by_node_[node] = sw.get();
-      switches_.push_back(std::move(sw));
+      switches_.push_back(std::make_unique<switchsim::Switch>(
+          *slot.sim, "sw" + std::to_string(graph_.switch_index(node)), ports,
+          sw_config));
+      slot.sw = switches_.back().get();
     }
+    slot.link_out.assign(static_cast<std::size_t>(ports), nullptr);
   }
 
   // Wire the data plane: one unidirectional Link per cable direction. A
@@ -59,29 +61,21 @@ void Testbed::build() {
   // another one, connect() records the destination simulation and
   // deliveries ride the engine mailbox (net::Link::transmit).
   for (int node = 0; node < graph_.num_nodes(); ++node) {
-    sim::Simulation& node_sim = sim_for_node(node);
+    NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
     for (int port = 0; port < graph_.num_ports(node); ++port) {
       const net::PortRef peer = graph_.peer(node, port);
       if (!peer.valid()) continue;
       const net::LinkSpec& spec = graph_.link_spec(node, port);
-      net::Link* out = make_link(node_sim, spec.rate, spec.propagation);
-      link_out_[PortKey{node, port}] = out;
-      // Receiving end.
-      if (graph_.is_host(peer.node)) {
-        out->connect(hosts_[static_cast<std::size_t>(
-                                graph_.host_index(peer.node))]
-                         .get(),
-                     0, &sim_for_node(peer.node));
+      net::Link* out = make_link(*slot.sim, spec.rate, spec.propagation);
+      slot.link_out[static_cast<std::size_t>(port)] = out;
+      const NodeSlot& rx = nodes_[static_cast<std::size_t>(peer.node)];
+      net::Node* receiver = rx.host;
+      if (receiver == nullptr) receiver = rx.sw;
+      out->connect(receiver, peer.port, rx.sim);
+      if (slot.host != nullptr) {
+        slot.host->attach_link(out);
       } else {
-        out->connect(switch_by_node_.at(peer.node), peer.port,
-                     &sim_for_node(peer.node));
-      }
-      // Transmitting end.
-      if (graph_.is_host(node)) {
-        hosts_[static_cast<std::size_t>(graph_.host_index(node))]
-            ->attach_link(out);
-      } else {
-        switch_by_node_.at(node)->attach_link(port, out);
+        slot.sw->attach_link(port, out);
       }
     }
   }
@@ -94,21 +88,20 @@ void Testbed::build() {
   for (int h = 0; h < num_hosts(); ++h) {
     controller_->attach_host(h, hosts_[static_cast<std::size_t>(h)].get());
   }
-  // Node-index order, not hash order: collector construction order decides
-  // link_rng_ draws (monitor-cable skew) and controller attachment order,
-  // all of which must reproduce across runs.
+  // Node-index order: collector construction order decides link_rng_
+  // draws (monitor-cable skew) and controller attachment order.
   for (int node = 0; node < graph_.num_nodes(); ++node) {
-    const auto sw_it = switch_by_node_.find(node);
-    if (sw_it == switch_by_node_.end()) continue;
-    switchsim::Switch* sw = sw_it->second;
-    sim::Simulation& sw_sim = sim_for_node(node);
+    NodeSlot& slot = nodes_[static_cast<std::size_t>(node)];
+    switchsim::Switch* sw = slot.sw;
+    if (sw == nullptr) continue;
+    sim::Simulation* sw_sim = slot.sim;
     int monitor_port = -1;
     if (config_.enable_planck) {
       monitor_port = graph_.num_ports(node);  // the extra port
       // The collector is pinned to its switch's partition: the whole
       // sample path (mirror, monitor cable, intake) stays intra-partition.
       auto collector = std::make_unique<core::Collector>(
-          sw_sim, "collector-" + sw->name(), node, config_.collector_config);
+          *sw_sim, "collector-" + sw->name(), node, config_.collector_config);
       // Monitor cable: same rate as the switch's first data link.
       sim::BitsPerSec rate = sim::gigabits_per_sec(10);
       for (int p = 0; p < graph_.num_ports(node); ++p) {
@@ -118,35 +111,34 @@ void Testbed::build() {
         }
       }
       net::Link* monitor_link =
-          make_link(sw_sim, rate, config_.monitor_propagation);
+          make_link(*sw_sim, rate, config_.monitor_propagation);
       monitor_link->connect(collector.get(), 0);
       sw->attach_link(monitor_port, monitor_link);
-      link_out_[PortKey{node, monitor_port}] = monitor_link;
+      slot.link_out[static_cast<std::size_t>(monitor_port)] = monitor_link;
       controller_->attach_collector(node, collector.get());
-      collector_by_node_[node] = collector.get();
+      slot.collector = collector.get();
       collectors_.push_back(std::move(collector));
     }
     controller_->attach_switch(node, sw, monitor_port);
     // Loss-of-signal notifications flow to the controller over its (lossy)
-    // control channel. Under the sharded engine the switch fires on its
-    // data partition, so the notification first hops to the control
-    // partition (one lookahead grid step, merged at the window barrier).
-    switchsim::Switch* sw_ptr = sw;
-    if (&sw_sim != &sim_) {
-      sw_ptr->set_port_status_handler([this, node, &sw_sim](int port,
-                                                            bool up) {
-        sw_sim.post(sim_, sw_sim.cross_lookahead(), [this, node, port, up] {
-          controller_->notify_port_status(node, port, up);
-        });
-      });
-    } else {
-      sw_ptr->set_port_status_handler([this, node](int port, bool up) {
+    // control channel, after the hop from the switch's partition to the
+    // control partition (none when unsharded).
+    sw->set_port_status_handler([this, node, sw_sim](int port, bool up) {
+      sw_sim->relay(sim_, [this, node, port, up] {
         controller_->notify_port_status(node, port, up);
       });
-    }
+    });
   }
 
   controller_->install_routes();
+}
+
+switchsim::Switch* Testbed::switch_by_node(int graph_node) {
+  const NodeSlot* s = slot(graph_node);
+  if (s == nullptr || s->sw == nullptr) {
+    throw std::out_of_range("Testbed::switch_by_node: not a switch node");
+  }
+  return s->sw;
 }
 
 void Testbed::set_link_state(int node, int port, bool up) {
@@ -157,7 +149,7 @@ void Testbed::set_link_state(int node, int port, bool up) {
 
 void Testbed::set_direction_state(int node, int port, bool up) {
   if (!graph_.is_host(node)) {
-    switch_by_node_.at(node)->set_port_admin(port, up);
+    switch_by_node(node)->set_port_admin(port, up);
     return;
   }
   // Host end: no admin plane, just the PHY.
@@ -166,11 +158,15 @@ void Testbed::set_direction_state(int node, int port, bool up) {
 }
 
 void Testbed::set_switch_online(int graph_node, bool online) {
-  switch_by_node_.at(graph_node)->set_online(online);
+  switch_by_node(graph_node)->set_online(online);
 }
 
 void Testbed::set_collector_online(int graph_node, bool online) {
-  collector_by_node_.at(graph_node)->set_online(online);
+  core::Collector* collector = collector_by_node(graph_node);
+  if (collector == nullptr) {
+    throw std::out_of_range("Testbed::set_collector_online: no collector");
+  }
+  collector->set_online(online);
 }
 
 net::Link* Testbed::make_link(sim::Simulation& source_sim,
@@ -191,10 +187,11 @@ net::Link* Testbed::make_link(sim::Simulation& source_sim,
 
 std::vector<std::pair<int, switchsim::Switch*>> Testbed::switch_nodes() {
   std::vector<std::pair<int, switchsim::Switch*>> out;
-  out.reserve(switch_by_node_.size());
-  for (const auto& [node, sw] : switch_by_node_) out.emplace_back(node, sw);
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  out.reserve(switches_.size());
+  for (int node = 0; node < graph_.num_nodes(); ++node) {
+    switchsim::Switch* sw = nodes_[static_cast<std::size_t>(node)].sw;
+    if (sw != nullptr) out.emplace_back(node, sw);
+  }
   return out;
 }
 

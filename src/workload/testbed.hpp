@@ -1,9 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "controller/controller.hpp"
@@ -50,8 +49,14 @@ struct TestbedConfig {
 /// per-switch collectors, and the controller, fully wired and with routes
 /// installed. This is the simulated equivalent of the paper's testbed
 /// (§7.1).
+///
+/// Every per-node fact — the Simulation the node runs on, its switch, its
+/// collector, its outgoing cables — lives in one table indexed by graph
+/// node id. The two constructors differ only in how they fill the
+/// node -> Simulation column; the build itself is one path.
 class Testbed {
  public:
+  /// Unsharded: every node, and the controller stack, on `simulation`.
   Testbed(sim::Simulation& simulation, const net::TopologyGraph& graph,
           const TestbedConfig& config);
 
@@ -59,8 +64,11 @@ class Testbed {
   /// the partition `map` assigns it, boundary cables are wired through the
   /// engine mailbox, and the controller/TE stack lives on the engine's
   /// control partition (which sim() then returns). `map.num_partitions`
-  /// must equal `engine.data_partitions()`. With one data partition this
-  /// produces the same schedule as the plain constructor run sequentially.
+  /// must equal `engine.data_partitions()`. With one data partition the
+  /// flows see the same schedule as under the plain constructor (equal
+  /// completion times and reroutes), but the run is not event-identical:
+  /// every congestion or port-status notification takes one extra event,
+  /// its hop to the control partition, so the digests differ.
   Testbed(sim::ParallelEngine& engine, const net::PartitionMap& map,
           const net::TopologyGraph& graph, const TestbedConfig& config);
 
@@ -78,32 +86,33 @@ class Testbed {
   }
   int num_hosts() const { return static_cast<int>(hosts_.size()); }
 
-  switchsim::Switch* switch_by_node(int graph_node) {
-    return switch_by_node_.at(graph_node);
-  }
+  /// Throws std::out_of_range when `graph_node` is not a switch.
+  switchsim::Switch* switch_by_node(int graph_node);
   switchsim::Switch* switch_by_index(int switch_index) {
     return switches_[static_cast<std::size_t>(switch_index)].get();
   }
   int num_switches() const { return static_cast<int>(switches_.size()); }
 
-  /// nullptr when Planck is disabled.
+  /// nullptr when Planck is disabled or `graph_node` is not a switch.
   core::Collector* collector_by_node(int graph_node) {
-    const auto it = collector_by_node_.find(graph_node);
-    return it == collector_by_node_.end() ? nullptr : it->second;
+    const NodeSlot* s = slot(graph_node);
+    return s == nullptr ? nullptr : s->collector;
   }
   const std::vector<std::unique_ptr<core::Collector>>& collectors() const {
     return collectors_;
   }
 
-  /// All switches as (graph node, pointer) pairs — what PollTe polls.
+  /// All switches as (graph node, pointer) pairs in node order — what
+  /// PollTe polls.
   std::vector<std::pair<int, switchsim::Switch*>> switch_nodes();
 
   // --- fault-plane hooks --------------------------------------------------
   /// The Link transmitting out of (node, port); monitor cables live at
   /// (switch node, monitor port). nullptr when unwired.
   net::Link* link_out(int node, int port) {
-    const auto it = link_out_.find(PortKey{node, port});
-    return it == link_out_.end() ? nullptr : it->second;
+    const NodeSlot* s = slot(node);
+    const auto p = static_cast<std::size_t>(port);
+    return s == nullptr || p >= s->link_out.size() ? nullptr : s->link_out[p];
   }
   /// Cuts or restores the whole cable attached to (node, port): both
   /// directions go down. A switch end goes through set_port_admin (so the
@@ -116,44 +125,36 @@ class Testbed {
   void set_collector_online(int graph_node, bool online);
 
  private:
-  struct PortKey {
-    int node;
-    int port;
-    friend bool operator==(const PortKey&, const PortKey&) = default;
-  };
-  struct PortKeyHash {
-    std::size_t operator()(const PortKey& k) const noexcept {
-      return std::hash<std::uint64_t>{}(
-          (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.node))
-           << 32) |
-          static_cast<std::uint32_t>(k.port));
-    }
+  /// What the testbed knows about one graph node.
+  struct NodeSlot {
+    sim::Simulation* sim = nullptr;        // the partition it lives on
+    tcp::Host* host = nullptr;             // null for switches
+    switchsim::Switch* sw = nullptr;       // null for hosts
+    core::Collector* collector = nullptr;  // null for hosts, or no Planck
+    std::vector<net::Link*> link_out;      // by port; null when unwired
   };
 
-  /// Shared constructor body. The link-rng draw order, construction order
-  /// and wiring are identical in both modes; only *which* simulation each
-  /// component binds to differs.
+  /// The one build path; the constructors have filled nodes_[n].sim.
   void build();
-  /// The partition `node`'s state lives on: sim_ when unsharded.
-  sim::Simulation& sim_for_node(int node);
+  /// nullptr outside the fabric (a negative id wraps past the end).
+  const NodeSlot* slot(int node) const {
+    const auto i = static_cast<std::size_t>(node);
+    return i < nodes_.size() ? &nodes_[i] : nullptr;
+  }
   net::Link* make_link(sim::Simulation& source_sim, sim::BitsPerSec rate,
                        sim::Duration propagation);
   void set_direction_state(int node, int port, bool up);
 
   sim::Simulation& sim_;
-  sim::ParallelEngine* engine_ = nullptr;  // non-null: sharded mode
-  net::PartitionMap pmap_;                 // empty when unsharded
   net::TopologyGraph graph_;
   TestbedConfig config_;
   sim::Rng link_rng_{42};
 
+  std::vector<NodeSlot> nodes_;  // by graph node
   std::vector<std::unique_ptr<net::Link>> links_;
   std::vector<std::unique_ptr<tcp::Host>> hosts_;
   std::vector<std::unique_ptr<switchsim::Switch>> switches_;
   std::vector<std::unique_ptr<core::Collector>> collectors_;
-  std::unordered_map<int, switchsim::Switch*> switch_by_node_;
-  std::unordered_map<int, core::Collector*> collector_by_node_;
-  std::unordered_map<PortKey, net::Link*, PortKeyHash> link_out_;
   std::unique_ptr<controller::Controller> controller_;
 };
 

@@ -16,8 +16,8 @@ namespace {
 
 struct FatTreeBed {
   explicit FatTreeBed(workload::TestbedConfig cfg = {})
-      : graph(net::make_fat_tree_16(
-            net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
+      : graph(net::make_fat_tree(
+            4, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
         bed(sim, graph, cfg) {}
 
   sim::Simulation sim;
@@ -234,13 +234,16 @@ TEST(Controller, QueryLinkUtilizationRoundTrip) {
   const Routing& routing = f.bed.controller().routing();
   const net::PathHop hop = routing.path(0, 4, 0).hops.front();
   sim::Time asked_at = 0;
+  int failures = 0;
   f.sim.schedule_at(sim::milliseconds(20), [&] {
     asked_at = f.sim.now();
     f.bed.controller().query_link_utilization(
-        hop.switch_node, hop.out_port, [&](double u) {
+        hop.switch_node, hop.out_port,
+        [&](double u) {
           util = u;
           replied_at = f.sim.now();
-        });
+        },
+        [&] { ++failures; });
   });
   f.sim.run_until(sim::seconds(2));
   ASSERT_TRUE(result.complete);
@@ -248,6 +251,8 @@ TEST(Controller, QueryLinkUtilizationRoundTrip) {
   EXPECT_GT(util, 8e9);
   // Round trip took two control-channel latencies.
   EXPECT_GE(replied_at - asked_at, 2 * sim::microseconds(150));
+  // The reply beat the deadline, so the failure callback never ran.
+  EXPECT_EQ(failures, 0);
 }
 
 }  // namespace

@@ -47,8 +47,8 @@ struct RunResult {
 /// completions.
 RunResult run_fig15(std::uint64_t seed) {
   sim::Simulation sim;
-  const auto graph = net::make_fat_tree_16(
-      net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
+  const auto graph = net::make_fat_tree(
+      4, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   TestbedConfig cfg;
   cfg.seed = seed;
   Testbed bed(sim, graph, cfg);
@@ -78,8 +78,8 @@ RunResult run_fig15(std::uint64_t seed) {
 /// the controller's link-status view, failovers, and completions.
 RunResult run_faulted(std::uint64_t seed) {
   sim::Simulation sim;
-  const auto graph = net::make_fat_tree_16(
-      net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
+  const auto graph = net::make_fat_tree(
+      4, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   TestbedConfig cfg;
   cfg.seed = seed;
   cfg.controller_config.channel.loss_prob = 0.05;
@@ -128,8 +128,8 @@ RunResult run_faulted(std::uint64_t seed) {
 /// shadow tree.
 RunResult run_te_failover(std::uint64_t seed) {
   sim::Simulation sim;
-  const auto graph = net::make_fat_tree_16(
-      net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
+  const auto graph = net::make_fat_tree(
+      4, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   TestbedConfig cfg;
   cfg.seed = seed;
   Testbed bed(sim, graph, cfg);

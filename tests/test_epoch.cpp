@@ -192,8 +192,8 @@ TEST(SwitchEpoch, CrashDiscardsStagingAndSoftState) {
 
 struct FatTree {
   explicit FatTree(TestbedConfig cfg = {})
-      : graph(net::make_fat_tree_16(
-            net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
+      : graph(net::make_fat_tree(
+            4, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
         bed(sim, graph, cfg) {}
 
   int edge_node_of_host(int host) const {
@@ -576,8 +576,8 @@ ChaosResult run_epoch_chaos(std::uint64_t seed, bool with_telemetry) {
   sim::Simulation sim;
   obs::Telemetry telemetry;
   if (with_telemetry) sim.set_telemetry(&telemetry);
-  const auto graph = net::make_fat_tree_16(
-      net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
+  const auto graph = net::make_fat_tree(
+      4, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   TestbedConfig cfg;
   cfg.seed = seed;
   cfg.controller_config.channel.loss_prob = 0.05;

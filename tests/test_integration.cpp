@@ -23,8 +23,8 @@ using workload::TestbedConfig;
 
 struct FatTree {
   explicit FatTree(TestbedConfig cfg = {})
-      : graph(net::make_fat_tree_16(
-            net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
+      : graph(net::make_fat_tree(
+            4, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
         bed(sim, graph, cfg) {}
 
   sim::Simulation sim;

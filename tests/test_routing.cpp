@@ -18,7 +18,7 @@ namespace {
 using net::TopologyGraph;
 
 struct Fixture {
-  Fixture() : graph(net::make_fat_tree_16(net::LinkSpec{})), routing(graph) {}
+  Fixture() : graph(net::make_fat_tree(4, net::LinkSpec{})), routing(graph) {}
   TopologyGraph graph;
   Routing routing;
 };

@@ -17,8 +17,8 @@ namespace {
 
 struct Fixture {
   Fixture()
-      : graph(net::make_fat_tree_16(
-            net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
+      : graph(net::make_fat_tree(
+            4, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
         routing(graph) {}
 
   KnownFlow flow(int s, int d, int tree, double rate) {
@@ -122,8 +122,8 @@ TEST(TeState, RemoveOldFlows) {
 
 struct TeFixture {
   TeFixture()
-      : graph(net::make_fat_tree_16(
-            net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
+      : graph(net::make_fat_tree(
+            4, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)})),
         bed(sim, graph, workload::TestbedConfig{}),
         te(sim, bed.controller(), PlanckTeConfig{}) {}
 
@@ -380,8 +380,8 @@ TEST(DemandEstimation, EmptyInput) {
 
 TEST(PollTe, SeparatesCollidingFlowsAfterPoll) {
   sim::Simulation sim;
-  const auto graph = net::make_fat_tree_16(
-      net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
+  const auto graph = net::make_fat_tree(
+      4, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::TestbedConfig cfg;
   cfg.enable_planck = false;
   cfg.switch_config.flow_accounting = true;
@@ -417,8 +417,8 @@ TEST(PollTe, SeparatesCollidingFlowsAfterPoll) {
 
 TEST(PollTe, NoRerouteWithoutCongestion) {
   sim::Simulation sim;
-  const auto graph = net::make_fat_tree_16(
-      net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
+  const auto graph = net::make_fat_tree(
+      4, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
   workload::TestbedConfig cfg;
   cfg.enable_planck = false;
   cfg.switch_config.flow_accounting = true;
