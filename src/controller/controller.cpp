@@ -503,16 +503,10 @@ void Controller::mark_switch_alive(int node) {
 }
 
 void Controller::resync_switch(int node) {
-  auto& acked = acked_flow_rules_[static_cast<std::size_t>(node)];
-  if (acked.empty()) return;
-  std::vector<net::FlowKey> keys;
-  keys.reserve(acked.size());
-  // Collect-then-sort: the acked-rule map is unordered.
-  for (const auto& [key, epoch] : acked) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
   // The acked set is rebuilt as the reinstalls commit.
-  acked.clear();
-  for (const net::FlowKey& key : keys) {
+  const auto acked =
+      std::exchange(acked_flow_rules_[static_cast<std::size_t>(node)], {});
+  for (const auto& [key, epoch] : acked) {
     ++resyncs_;
     PLANCK_TRACE_ARGS(sim_, "controller", "resync_flow_rule",
                       obs::argf("\"node\":%d", node));

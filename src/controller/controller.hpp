@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -258,9 +259,9 @@ class Controller {
   std::vector<std::deque<std::function<void()>>> switch_queue_;
   std::vector<bool> switch_busy_;
   /// Flow rules the switch acked end-to-end, by ingress node: the resync
-  /// set for crash recovery, and the stale-rule set for reconciliation.
-  std::vector<std::unordered_map<net::FlowKey, std::uint64_t, net::FlowKeyHash>>
-      acked_flow_rules_;
+  /// set for crash recovery (replayed in key order), and the stale-rule
+  /// set for reconciliation.
+  std::vector<std::map<net::FlowKey, std::uint64_t>> acked_flow_rules_;
   /// First time the controller saw each flow's assigned path dead.
   std::unordered_map<net::FlowKey, sim::Time, net::FlowKeyHash>
       blackholed_since_;

@@ -36,95 +36,75 @@ struct RuleCounters {
 /// table (5-tuple, the OpenFlow reroute rules). Real switches use TCAMs;
 /// exact-match hash tables give identical semantics for this workload.
 ///
-/// The tables are double-banked (DESIGN.md §10): the data plane always
-/// reads the *active* bank, while a controller-versioned route program for
-/// epoch E is assembled in the *staging* bank (a copy of the active one).
-/// commit_staged(E) flips the banks atomically, so a partially-installed
-/// program is never served — the paper's rule-by-rule TCAM updates are the
-/// transient-loop hazard this removes. planck-lint's bank-swap check
-/// enforces that the flip primitive is only reachable through the commit
-/// path here.
+/// The MAC table is the PAST program, installed once and restored from
+/// flash after a crash: one table, written only by the direct mutators.
+/// No route program changes it — reroutes are 5-tuple rewrites (§6.2) —
+/// so only the flow table is double-banked (DESIGN.md §10): the data
+/// plane reads the *active* flow bank, while a controller-versioned route
+/// program for epoch E is assembled in the *staging* flow bank (a copy of
+/// the active one). commit_staged(E) flips the flow banks atomically, so a
+/// partially-installed program is never served — the paper's rule-by-rule
+/// TCAM updates are the transient-loop hazard this removes. planck-lint's
+/// bank-swap check enforces that the flip primitive is only reachable
+/// through the commit path here.
 ///
-/// The direct mutators (set_mac_rule, set_flow_rule, ...) write the active
-/// bank in place. They model out-of-band configuration (testbed setup,
+/// The direct mutators (set_mac_rule, set_flow_rule, ...) write the live
+/// tables in place. They model out-of-band configuration (testbed setup,
 /// unit tests); the controller's runtime updates go through staging.
 class RuleTable {
  public:
-  struct MacEntry {
-    RuleActions actions;
-    RuleCounters counters;
-  };
-  struct FlowEntry {
+  struct Entry {
     RuleActions actions;
     RuleCounters counters;
   };
 
   /// Installs/overwrites the L2 entry for `dst`.
   void set_mac_rule(net::MacAddress dst, RuleActions actions) {
-    active().mac_table[dst].actions = actions;
+    mac_table_[dst].actions = actions;
   }
   bool erase_mac_rule(net::MacAddress dst) {
-    return active().mac_table.erase(dst) > 0;
+    return mac_table_.erase(dst) > 0;
   }
 
   /// Installs/overwrites the flow entry for `key` (higher priority than
   /// any MAC entry).
   void set_flow_rule(const net::FlowKey& key, RuleActions actions) {
-    active().flow_table[key].actions = actions;
-  }
-  bool erase_flow_rule(const net::FlowKey& key) {
-    return active().flow_table.erase(key) > 0;
+    active()[key].actions = actions;
   }
   /// Drops every 5-tuple reroute rule (controller soft state lost in a
   /// switch crash; the MAC program is config restored from flash).
-  void clear_flow_rules() { active().flow_table.clear(); }
+  void clear_flow_rules() { active().clear(); }
 
-  MacEntry* find_mac(net::MacAddress dst) {
-    auto& table = active().mac_table;
-    const auto it = table.find(dst);
-    return it == table.end() ? nullptr : &it->second;
+  Entry* find_mac(net::MacAddress dst) {
+    const auto it = mac_table_.find(dst);
+    return it == mac_table_.end() ? nullptr : &it->second;
   }
-  FlowEntry* find_flow(const net::FlowKey& key) {
-    auto& table = active().flow_table;
-    const auto it = table.find(key);
-    return it == table.end() ? nullptr : &it->second;
-  }
-  const MacEntry* find_mac(net::MacAddress dst) const {
-    const auto& table = active().mac_table;
-    const auto it = table.find(dst);
-    return it == table.end() ? nullptr : &it->second;
-  }
-  const FlowEntry* find_flow(const net::FlowKey& key) const {
-    const auto& table = active().flow_table;
+  Entry* find_flow(const net::FlowKey& key) {
+    auto& table = active();
     const auto it = table.find(key);
     return it == table.end() ? nullptr : &it->second;
   }
 
-  std::size_t mac_rule_count() const { return active().mac_table.size(); }
-  std::size_t flow_rule_count() const { return active().flow_table.size(); }
-
-  const std::unordered_map<net::FlowKey, FlowEntry, net::FlowKeyHash>&
-  flow_table() const {
-    return active().flow_table;
-  }
-  const std::unordered_map<net::MacAddress, MacEntry>& mac_table() const {
-    return active().mac_table;
+  std::size_t flow_rule_count() const { return active().size(); }
+  const std::unordered_map<net::MacAddress, Entry>& mac_table() const {
+    return mac_table_;
   }
 
   // --- epoch'd route programs (DESIGN.md §10) ----------------------------
-  /// Opens the staging bank for `epoch`'s route program, seeding it with a
-  /// copy of the active bank. Returns false when the program is stale:
-  /// `epoch` is not newer than the committed epoch, or a newer epoch is
-  /// already being staged (newest wins — the loser's commit then fails and
-  /// its controller falls back to last-good). Re-staging the epoch already
-  /// open is an idempotent no-op (at-least-once RPC delivery).
+  /// Opens the staging flow bank for `epoch`'s route program, seeding it
+  /// with a copy of the active flow bank. Returns false when the program
+  /// is stale: `epoch` is not newer than the committed epoch, or a newer
+  /// epoch is already being staged (newest wins — the loser's commit then
+  /// fails and its controller falls back to last-good). Re-staging the
+  /// epoch already open is an idempotent no-op (at-least-once RPC
+  /// delivery).
   bool begin_staging(std::uint64_t epoch) {
     if (epoch <= committed_epoch_) return false;
     if (staging_) {
       if (staged_epoch_ == epoch) return true;  // duplicate delivery
       if (staged_epoch_ > epoch) return false;  // a newer program is staged
     }
-    banks_[1 - active_] = banks_[active_];
+    staged() = active();
     staging_ = true;
     staged_epoch_ = epoch;
     return true;
@@ -135,18 +115,12 @@ class RuleTable {
   bool stage_flow_rule(std::uint64_t epoch, const net::FlowKey& key,
                        RuleActions actions) {
     if (!staging_ || staged_epoch_ != epoch) return false;
-    staged().flow_table[key].actions = actions;
+    staged()[key].actions = actions;
     return true;
   }
   bool stage_flow_erase(std::uint64_t epoch, const net::FlowKey& key) {
     if (!staging_ || staged_epoch_ != epoch) return false;
-    staged().flow_table.erase(key);
-    return true;
-  }
-  bool stage_mac_rule(std::uint64_t epoch, net::MacAddress dst,
-                      RuleActions actions) {
-    if (!staging_ || staged_epoch_ != epoch) return false;
-    staged().mac_table[dst].actions = actions;
+    staged().erase(key);
     return true;
   }
 
@@ -166,15 +140,8 @@ class RuleTable {
     return true;
   }
 
-  /// Discards the staged program for `epoch` (failsafe: partial install,
-  /// commit timeout, or crash). No-op for any other epoch.
-  bool abort_staged(std::uint64_t epoch) {
-    if (!staging_ || staged_epoch_ != epoch) return false;
-    discard_staging();
-    return true;
-  }
-  /// Unconditionally discards whatever is staged (switch crash: staging
-  /// lives in DRAM, only committed banks survive like flash config).
+  /// Discards whatever is staged (switch crash: staging lives in DRAM,
+  /// only committed programs survive like flash config).
   void discard_staging() {
     staging_ = false;
     staged_epoch_ = 0;
@@ -189,20 +156,18 @@ class RuleTable {
   // switch's control-plane callbacks on its partition.
   PLANCK_PARTITION_OWNED;
 
-  struct Bank {
-    std::unordered_map<net::MacAddress, MacEntry> mac_table;
-    std::unordered_map<net::FlowKey, FlowEntry, net::FlowKeyHash> flow_table;
-  };
+  using FlowTable = std::unordered_map<net::FlowKey, Entry, net::FlowKeyHash>;
 
-  Bank& active() { return banks_[active_]; }
-  const Bank& active() const { return banks_[active_]; }
-  Bank& staged() { return banks_[1 - active_]; }
+  FlowTable& active() { return flow_banks_[active_]; }
+  const FlowTable& active() const { return flow_banks_[active_]; }
+  FlowTable& staged() { return flow_banks_[1 - active_]; }
 
-  /// The bank flip. Only commit_staged may call this — enforced by
+  /// The flow-bank flip. Only commit_staged may call this — enforced by
   /// planck-lint's bank-swap check, which flags any other caller.
   void swap_banks() { active_ = 1 - active_; }
 
-  Bank banks_[2];
+  std::unordered_map<net::MacAddress, Entry> mac_table_;
+  FlowTable flow_banks_[2];
   int active_ = 0;
   bool staging_ = false;
   std::uint64_t staged_epoch_ = 0;

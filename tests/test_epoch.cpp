@@ -61,7 +61,7 @@ TEST(RuleTableEpoch, StagedProgramInvisibleUntilCommit) {
   EXPECT_EQ(rules.committed_epoch(), 1u);
   EXPECT_FALSE(rules.staging());
   ASSERT_NE(rules.find_flow(key), nullptr);
-  // The staging copy carried the pre-existing MAC program along.
+  // The MAC program is not banked: it is served before, during and after.
   EXPECT_NE(rules.find_mac(net::host_mac(1)), nullptr);
 }
 
@@ -97,24 +97,18 @@ TEST(RuleTableEpoch, NewestProgramWinsStaging) {
   EXPECT_TRUE(rules.commit_staged(4));
 }
 
-TEST(RuleTableEpoch, AbortAndCrashDiscardStagedPrograms) {
+TEST(RuleTableEpoch, CrashDiscardsStagedProgram) {
   switchsim::RuleTable rules;
   const net::FlowKey key = make_key(0, 1);
 
+  // Whatever is staged dies with the DRAM.
   ASSERT_TRUE(rules.begin_staging(1));
   ASSERT_TRUE(rules.stage_flow_rule(1, key, rewrite_to(1, 1)));
-  EXPECT_FALSE(rules.abort_staged(2));  // wrong epoch: no-op
-  ASSERT_TRUE(rules.abort_staged(1));
+  rules.discard_staging();
   EXPECT_FALSE(rules.staging());
   EXPECT_FALSE(rules.commit_staged(1));  // nothing to flip
   EXPECT_EQ(rules.find_flow(key), nullptr);
   EXPECT_EQ(rules.committed_epoch(), 0u);
-
-  // Crash path: whatever is staged dies with the DRAM.
-  ASSERT_TRUE(rules.begin_staging(2));
-  rules.discard_staging();
-  EXPECT_FALSE(rules.staging());
-  EXPECT_FALSE(rules.commit_staged(2));
 }
 
 TEST(RuleTableEpoch, StagedEraseRemovesRuleOnCommit) {
@@ -127,6 +121,44 @@ TEST(RuleTableEpoch, StagedEraseRemovesRuleOnCommit) {
   EXPECT_NE(rules.find_flow(key), nullptr);  // still served until the flip
   ASSERT_TRUE(rules.commit_staged(1));
   EXPECT_EQ(rules.find_flow(key), nullptr);
+}
+
+TEST(RuleTableEpoch, MacWritesDuringStagingSurviveCommit) {
+  switchsim::RuleTable rules;
+  rules.set_mac_rule(net::host_mac(2), switchsim::RuleActions{1, {}});
+  const net::FlowKey key = make_key(0, 1);
+
+  ASSERT_TRUE(rules.begin_staging(1));
+  ASSERT_TRUE(rules.stage_flow_rule(1, key, rewrite_to(1, 1)));
+  // Out-of-band MAC configuration while a route program is staged.
+  rules.set_mac_rule(net::host_mac(1), switchsim::RuleActions{3, {}});
+  ASSERT_TRUE(rules.erase_mac_rule(net::host_mac(2)));
+  ASSERT_TRUE(rules.commit_staged(1));
+
+  // The flip moves flow rules only: the MAC writes are not undone.
+  const auto* mac = rules.find_mac(net::host_mac(1));
+  ASSERT_NE(mac, nullptr);
+  EXPECT_EQ(mac->actions.out_port, 3);
+  EXPECT_EQ(rules.find_mac(net::host_mac(2)), nullptr);
+  EXPECT_NE(rules.find_flow(key), nullptr);
+}
+
+TEST(RuleTableEpoch, MacCountersSurviveTheFlip) {
+  switchsim::RuleTable rules;
+  rules.set_mac_rule(net::host_mac(1), switchsim::RuleActions{2, {}});
+
+  ASSERT_TRUE(rules.begin_staging(1));
+  // Traffic keeps hitting the MAC rule while the program is staged.
+  auto* mac = rules.find_mac(net::host_mac(1));
+  ASSERT_NE(mac, nullptr);
+  mac->counters.packets += sim::packets(5);
+  mac->counters.bytes += sim::bytes(7500);
+  ASSERT_TRUE(rules.commit_staged(1));
+
+  mac = rules.find_mac(net::host_mac(1));
+  ASSERT_NE(mac, nullptr);
+  EXPECT_EQ(mac->counters.packets, sim::packets(5));
+  EXPECT_EQ(mac->counters.bytes, sim::bytes(7500));
 }
 
 // ---------------------------------------------------------------------------
@@ -150,7 +182,6 @@ TEST(SwitchEpoch, CommitDeferredPastPendingInstalls) {
   EXPECT_EQ(sw.committed_epoch(), 2u);
   EXPECT_NE(sw.rules().find_flow(key), nullptr);
   EXPECT_EQ(sw.epochs_committed(), 1u);
-  EXPECT_EQ(sw.epochs_aborted(), 0u);
 
   // Duplicate commit of the live epoch still acks.
   EXPECT_TRUE(sw.commit_epoch(2));

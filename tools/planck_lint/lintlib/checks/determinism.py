@@ -39,34 +39,67 @@ def file_stem(path):
     return os.path.splitext(os.path.basename(path))[0]
 
 
+UNORDERED_TYPE_RE = re.compile(r"(?:std::)?unordered_(?:map|set)\s*<")
+# Containers whose elements are reached by subscript/at(): the element is
+# the first template argument, or the second for the maps.
+ELEMENT_CONTAINER_RE = re.compile(
+    r"\b(?:std::)?(vector|deque|array|map|unordered_map)\s*<")
+# `x[i]`, `x.at(i)`, `x.front()`: one element of a container `x`.
+ELEMENT_ACCESS_RE = re.compile(
+    r"([A-Za-z_]\w*)\s*(?:\[[^\[\]]*\]|(?:\.|->)\s*(?:at|front|back)\s*\(.*\))"
+    r"\s*$")
+# `auto x = e;`, `auto& x = e;`, `const auto& x = e;` ...
+AUTO_BINDING_RE = re.compile(
+    r"\b(?:const\s+)?auto\s*(?:&{1,2}\s*)?([A-Za-z_]\w*)\s*=(?!=)([^;]*);")
+
+
+def declared_name(code, close):
+    """(name, delimiter) of the declarator after a template type ending at
+    `close`, or None when the type is not followed by one."""
+    dm = re.match(r"\s*(?:&\s*)?([A-Za-z_]\w*)\s*([(;={,)])",
+                  code[close + 1:close + 160])
+    return (dm.group(1), dm.group(2)) if dm else None
+
+
 def build_unordered_registry(files):
     """Function names returning an unordered container (global, since calls
     like collector->flow_table().flows() cross files), and variable names
-    declared with an unordered type, scoped per file *stem* so that a
-    member declared in foo.hpp is visible in foo.cpp but an unrelated
-    same-named member of another class is not (e.g. Controller::switches_
-    is an unordered_map while PollTe::switches_ is a vector)."""
-    vars_by_stem, method_names = {}, set()
+    declared with an unordered type — or as a container of them, whose
+    elements (`x[i]`, `x.at(i)`) are then unordered — scoped per file
+    *stem* so that a member declared in foo.hpp is visible in foo.cpp but
+    an unrelated same-named member of another class is not (e.g.
+    Controller::switches_ is an unordered_map while PollTe::switches_ is a
+    vector)."""
+    vars_by_stem, elems_by_stem, method_names = {}, {}, set()
     for sf in files:
         stem_vars = vars_by_stem.setdefault(file_stem(sf.path), set())
+        stem_elems = elems_by_stem.setdefault(file_stem(sf.path), set())
         for m in re.finditer(r"\bunordered_(?:map|set)\s*<", sf.code):
+            close = match_angle(sf.code, m.end() - 1)
+            decl = declared_name(sf.code, close) if close >= 0 else None
+            if decl is None:
+                continue
+            if decl[1] == "(":
+                method_names.add(decl[0])
+            else:
+                stem_vars.add(decl[0])
+        for m in ELEMENT_CONTAINER_RE.finditer(sf.code):
             open_idx = m.end() - 1
             close = match_angle(sf.code, open_idx)
             if close < 0:
                 continue
-            tail = sf.code[close + 1:close + 160]
-            dm = re.match(r"\s*(?:&\s*)?([A-Za-z_]\w*)\s*([(;={,)])", tail)
-            if not dm:
+            args = split_top_level(sf.code[open_idx + 1:close], ",")
+            elem = args[1] if m.group(1).endswith("map") and len(args) > 1 \
+                else args[0]
+            if not UNORDERED_TYPE_RE.match(elem.strip()):
                 continue
-            name, delim = dm.group(1), dm.group(2)
-            if delim == "(":
-                method_names.add(name)
-            else:
-                stem_vars.add(name)
-    return vars_by_stem, method_names
+            decl = declared_name(sf.code, close)
+            if decl is not None and decl[1] != "(":
+                stem_elems.add(decl[0])
+    return vars_by_stem, elems_by_stem, method_names
 
 
-def expr_is_unordered(expr, var_names, method_names):
+def expr_is_unordered(expr, var_names, method_names, elem_names):
     expr = expr.strip()
     if "unordered_map" in expr or "unordered_set" in expr:
         return True
@@ -76,19 +109,35 @@ def expr_is_unordered(expr, var_names, method_names):
     ident = re.search(r"([A-Za-z_]\w*)\s*$", expr)
     if ident and ident.group(1) in var_names:
         return True
-    return False
+    elem = ELEMENT_ACCESS_RE.search(expr)
+    return bool(elem and elem.group(1) in elem_names)
+
+
+def unordered_bindings(body, var_names, method_names, elem_names):
+    """Names of `auto` locals in `body` initialized from an unordered
+    expression (e.g. `auto& acked = acked_by_node_[node];`)."""
+    names = set()
+    for m in AUTO_BINDING_RE.finditer(body):
+        if expr_is_unordered(m.group(2), var_names | names, method_names,
+                             elem_names):
+            names.add(m.group(1))
+    return names
 
 
 def check_unordered_iteration(ctx):
-    vars_by_stem, method_names = build_unordered_registry(ctx.files)
+    vars_by_stem, elems_by_stem, method_names = build_unordered_registry(
+        ctx.files)
     tainted = ctx.program.taint("all")
 
     for sf in ctx.files:
-        var_names = vars_by_stem.get(file_stem(sf.path), set())
+        stem_vars = vars_by_stem.get(file_stem(sf.path), set())
+        elem_names = elems_by_stem.get(file_stem(sf.path), set())
         for fn in ctx.ir(sf).functions:
             via = tainted.get(id(fn))
             if not via:
                 continue
+            var_names = stem_vars | unordered_bindings(
+                fn.body, stem_vars, method_names, elem_names)
             for m in re.finditer(r"\bfor\s*\(", fn.body):
                 open_idx = m.end() - 1
                 close = match_paren(fn.body, open_idx)
@@ -98,7 +147,8 @@ def check_unordered_iteration(ctx):
                 parts = split_top_level(header, ":")
                 hit = None
                 if len(parts) == 2:  # range-for
-                    if expr_is_unordered(parts[1], var_names, method_names):
+                    if expr_is_unordered(parts[1], var_names, method_names,
+                                         elem_names):
                         hit = parts[1].strip()
                 else:  # classic loop: iterator over an unordered container?
                     it = re.search(r"([A-Za-z_]\w*)\s*(?:\.|->)\s*begin\s*\(",
