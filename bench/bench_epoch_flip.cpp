@@ -1,6 +1,9 @@
 // Epoch'd control plane under chaos (DESIGN.md §10): a fault matrix of
 // link cuts + switch crashes over a lossy control channel, at two
-// severities, with the collector backpressure plane engaged. Reports the
+// severities, with the collector backpressure plane engaged. Every cell
+// also crashes an ingress switch holding an acked reroute rule for longer
+// than heartbeat detection takes, so its recovery goes through crash
+// resync (Controller::resync_switch). Reports the
 // route-program ledger (opened/committed/fallbacks/stale commits), switch
 // bank flips, crash resyncs, the worst observed blackhole window, and
 // whether same-seed runs stayed digest-identical. A targeted failsafe
@@ -10,8 +13,9 @@
 //
 // Exits nonzero when an epoch invariant the matrix is supposed to
 // demonstrate does not hold: a same-seed digest mismatch, no fallback
-// observed anywhere, or a blackhole window past the contract bound —
-// so the chaos-matrix ctest smoke is just running this binary.
+// observed anywhere, no crash resync anywhere in the matrix, or a
+// blackhole window past the contract bound — so the chaos-matrix ctest
+// smoke is just running this binary.
 
 #include <cstdint>
 #include <cstdio>
@@ -74,13 +78,31 @@ CellResult run_cell(const Severity& sv, std::uint64_t seed) {
 
   constexpr int kFlows = 6;
   std::vector<tcp::FlowStats> stats(kFlows);
+  std::vector<net::FlowKey> keys;
   for (int i = 0; i < kFlows; ++i) {
-    bed.host(i)->start_flow(net::host_ip((i + 8) % 16), 5001,
-                            16 * 1024 * 1024,
-                            [&stats, i](const tcp::FlowStats& s) {
-                              stats[static_cast<std::size_t>(i)] = s;
-                            });
+    keys.push_back(bed.host(i)
+                       ->start_flow(net::host_ip((i + 8) % 16), 5001,
+                                    16 * 1024 * 1024,
+                                    [&stats, i](const tcp::FlowStats& s) {
+                                      stats[static_cast<std::size_t>(i)] = s;
+                                    })
+                       ->key());
   }
+  // The resync probe: an OpenFlow reroute late in the fault window leaves
+  // an acked rule on host 0's ingress switch (no later TE decision takes
+  // it back); that switch then crashes for 300 ms, longer than a
+  // heartbeat probe's whole retry budget (~255 ms), so the controller
+  // declares it dead and its recovery is a resync. An edge switch is every
+  // path of its hosts, so no repairable flow is blackholed meanwhile.
+  const net::TopologyShape& shape = graph.shape();
+  const int ingress = graph.switch_node(
+      shape.edge_switch_index(shape.pod_of_host(0), shape.edge_of_host(0)));
+  controller::Controller& ctrl = bed.controller();
+  simulation.schedule_at(sim::milliseconds(45), [&ctrl, &keys] {
+    ctrl.reroute_flow(keys[0], 1, controller::RerouteMechanism::kOpenFlow);
+  });
+  inj.schedule_switch_outage(sim::milliseconds(60), sim::milliseconds(300),
+                             ingress);
   // The cross-component invariants must hold mid-chaos, not just at rest.
   for (sim::Time t = sim::milliseconds(5); t <= sim::milliseconds(100);
        t += sim::milliseconds(5)) {
@@ -92,7 +114,6 @@ CellResult run_cell(const Severity& sv, std::uint64_t seed) {
 
   CellResult r;
   r.digest = simulation.determinism_digest();
-  const controller::Controller& ctrl = bed.controller();
   r.opened = ctrl.epochs().opened();
   r.committed = ctrl.epochs().committed();
   r.fallbacks = ctrl.epochs().fallbacks();
@@ -214,6 +235,7 @@ int main(int argc, char** argv) {
   bool all_stable = true;
   bool bound_held = true;
   std::uint64_t total_fallbacks = 0;
+  std::uint64_t matrix_resyncs = 0;
   for (const Severity& sv : severities) {
     for (int t = 0; t < trials; ++t) {
       const std::uint64_t seed = 11 + 100 * static_cast<std::uint64_t>(t);
@@ -222,6 +244,7 @@ int main(int argc, char** argv) {
       const bool stable = a.digest == b.digest;
       all_stable = all_stable && stable;
       total_fallbacks += a.fallbacks;
+      matrix_resyncs += a.resyncs;
       bound_held =
           bound_held && a.max_blackhole_us <= sim::to_microseconds(bound);
       report_cell(rep,
@@ -256,11 +279,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: last-good failsafe never engaged\n");
     return 1;
   }
+  if (matrix_resyncs == 0) {
+    std::fprintf(stderr, "FAIL: no chaos-matrix cell reached crash resync\n");
+    return 1;
+  }
   if (!bound_held) {
     std::fprintf(stderr, "FAIL: blackhole window exceeded the contract bound\n");
     return 1;
   }
   std::printf("\nall same-seed runs digest-stable; failsafe engaged; "
-              "blackhole bound held\n");
+              "crash resync reached (%llu rules); blackhole bound held\n",
+              static_cast<unsigned long long>(matrix_resyncs));
   return 0;
 }

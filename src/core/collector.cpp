@@ -98,9 +98,14 @@ void Collector::handle_packet(const net::Packet& packet, int /*in_port*/) {
   ++samples_received_;
   last_sample_at_ = sim_.now();
 
-  if (ring_.size() >= config_.sample_ring_capacity) ring_.pop_front();
-  ring_.push_back(Sample{sim_.now(), packet});
-  if (sample_hook_) sample_hook_(ring_.back());
+  const Sample sample{sim_.now(), packet};
+  if (ring_.size() < config_.sample_ring_capacity) {
+    ring_.push_back(sample);
+  } else if (!ring_.empty()) {
+    ring_[ring_next_] = sample;
+    ring_next_ = (ring_next_ + 1) % ring_.size();
+  }
+  if (sample_hook_) sample_hook_(sample);
 
   if (packet.proto == net::Protocol::kArp) return;
 
@@ -146,6 +151,15 @@ double Collector::link_utilization_bps(int out_port) const {
   if (!online_) return 0.0;
   const PortState* port = find_port(out_port);
   return port == nullptr ? 0.0 : std::max(0.0, port->bps);
+}
+
+std::vector<Sample> Collector::raw_samples() const {
+  std::vector<Sample> out;
+  out.reserve(ring_.size());
+  const auto next = ring_.begin() + static_cast<std::ptrdiff_t>(ring_next_);
+  out.insert(out.end(), next, ring_.end());
+  out.insert(out.end(), ring_.begin(), next);
+  return out;
 }
 
 std::vector<FlowRate> Collector::flows_on_link(int out_port) const {

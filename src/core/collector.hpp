@@ -150,8 +150,9 @@ class Collector : public net::Node {
   /// (ii) Rate estimates of flows currently crossing `out_port` (empty
   /// while offline).
   std::vector<FlowRate> flows_on_link(int out_port) const;
-  /// (iii) The most recent raw samples (newest last).
-  const std::deque<Sample>& raw_samples() const { return ring_; }
+  /// (iii) The most recent raw samples, at most sample_ring_capacity of
+  /// them (oldest first, newest last).
+  std::vector<Sample> raw_samples() const;
 
   // --- failure plane ------------------------------------------------------
   /// Collector process crash/restore. Offline, arriving samples are lost
@@ -273,7 +274,10 @@ class Collector : public net::Node {
 
   std::vector<PortState> ports_;  // by output port
 
-  std::deque<Sample> ring_;
+  // Raw-sample ring: fills to sample_ring_capacity, then ring_next_ is
+  // the oldest sample, overwritten by the next one.
+  std::vector<Sample> ring_;
+  std::size_t ring_next_ = 0;
   std::vector<CongestionHandler> congestion_handlers_;
   SampleHook sample_hook_;
 

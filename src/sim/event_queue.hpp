@@ -184,6 +184,7 @@ class EventQueue {
               std::uint32_t idx);
   std::uint32_t find_next();         // earliest live node; COMMITS cursor_
   std::uint32_t peek();              // earliest live node; cursor_ untouched
+  std::uint32_t near_head();         // earliest live node in the near page
   bool advance();                    // cascade the next far slot / overflow
   void cascade(int level, std::uint32_t slot_index);
   std::uint32_t sweep_slot(Slot& slot, std::uint64_t* bits,
@@ -203,7 +204,9 @@ class EventQueue {
   // a pure peek, so probing the queue (e.g. run_until breaking on a far
   // deadline) never drags the push-clamp floor forward.
   Time cursor_ = 0;
-  std::uint32_t cached_ = kNil;  // peek() memo; cleared by push/cancel/pop
+  // peek() memo. A push earlier than it, a cancel of it, or a pop clears
+  // it; find_next() pops it without a scan when it lies in the near page.
+  std::uint32_t cached_ = kNil;
   Time cached_when_ = 0;         // when of the cached node (cheap compare)
   std::uint64_t seq_ = 0;
   std::size_t live_ = 0;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "sim/event_queue.hpp"
+#include "sim/packet_pool.hpp"
 #include "sim/thread_annotations.hpp"
 #include "sim/time.hpp"
 
@@ -135,6 +136,11 @@ class Simulation {
 
   bool pending() const { return !queue_.empty(); }
 
+  /// Slots for this partition's packet queues (switch ports, host NICs);
+  /// see PacketPool. Components reach it through the Simulation they were
+  /// built on, so a sharded run never shares one across threads.
+  PacketPool& packet_pool() { return packet_pool_; }
+
   /// Installs the telemetry plane (DESIGN.md §9). Not owned; must outlive
   /// the simulation (or be detached with set_telemetry(nullptr)). Install
   /// before constructing components — they register their metrics in
@@ -173,6 +179,7 @@ class Simulation {
   static constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
   EventQueue queue_;
+  PacketPool packet_pool_;
   Time now_ = 0;
   bool stopped_ = false;
   std::uint64_t events_executed_ = 0;

@@ -1,8 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
+#include <vector>
 
 #include "net/addresses.hpp"
 #include "net/packet.hpp"
@@ -34,7 +37,17 @@ struct RuleCounters {
 /// The switch's match-action state: an exact-match L2 table (destination
 /// MAC, the PAST routing state) plus a higher-priority exact-match flow
 /// table (5-tuple, the OpenFlow reroute rules). Real switches use TCAMs;
-/// exact-match hash tables give identical semantics for this workload.
+/// exact-match tables give identical semantics for this workload.
+///
+/// Every MAC a route installs is a host MAC — base (tree 0) or shadow
+/// (trees 1..kMaxProvisionedTrees-1) — so the MAC table is dense: one
+/// index array per tree, indexed by the host id the address decodes to and
+/// grown only for the trees a switch carries, points into a chunked slab of
+/// entries. A lookup is a decode and two indexed loads, never a hash; a
+/// 4-byte index per (host, tree) plus a packed entry per rule keeps the
+/// table smaller than the hash map it replaced even on switches that
+/// carry half the pairs. set_mac_rule refuses a MAC that decodes to no
+/// host.
 ///
 /// The MAC table is the PAST program, installed once and restored from
 /// flash after a crash: one table, written only by the direct mutators.
@@ -46,11 +59,14 @@ struct RuleCounters {
 /// partially-installed program is never served — the paper's rule-by-rule
 /// TCAM updates are the transient-loop hazard this removes. planck-lint's
 /// bank-swap check enforces that the flip primitive is only reachable
-/// through the commit path here.
+/// through the commit path here. The flip carries the live counters of
+/// every rule the program keeps, so traffic counted while a program was
+/// staged is not lost.
 ///
 /// The direct mutators (set_mac_rule, set_flow_rule, ...) write the live
-/// tables in place. They model out-of-band configuration (testbed setup,
-/// unit tests); the controller's runtime updates go through staging.
+/// tables in place — and an open staging bank too, so a commit never
+/// undoes them. They model out-of-band configuration (testbed setup, unit
+/// tests); the controller's runtime updates go through staging.
 class RuleTable {
  public:
   struct Entry {
@@ -58,37 +74,57 @@ class RuleTable {
     RuleCounters counters;
   };
 
-  /// Installs/overwrites the L2 entry for `dst`.
+  /// Installs/overwrites the L2 entry for `dst`. Throws
+  /// std::invalid_argument unless `dst` is a host MAC (base or shadow).
   void set_mac_rule(net::MacAddress dst, RuleActions actions) {
-    mac_table_[dst].actions = actions;
+    int tree = 0;
+    int host = -1;
+    if (!decode_mac(dst, &tree, &host)) {
+      throw std::invalid_argument("set_mac_rule: " + net::mac_to_string(dst) +
+                                  " is not a host MAC");
+    }
+    auto& index = mac_index_[tree];
+    const auto at = static_cast<std::size_t>(host);
+    if (at >= index.size()) index.resize(at + 1);
+    if (index[at] == 0) index[at] = alloc_mac_entry() + 1;
+    mac_entry(index[at] - 1).actions = actions;
   }
   bool erase_mac_rule(net::MacAddress dst) {
-    return mac_table_.erase(dst) > 0;
+    std::uint32_t* ref = find_mac_ref(dst);
+    if (ref == nullptr || *ref == 0) return false;
+    free_mac_entries_.push_back(*ref - 1);
+    *ref = 0;
+    return true;
   }
 
   /// Installs/overwrites the flow entry for `key` (higher priority than
   /// any MAC entry).
   void set_flow_rule(const net::FlowKey& key, RuleActions actions) {
     active()[key].actions = actions;
+    if (staging_) staged()[key].actions = actions;
   }
   /// Drops every 5-tuple reroute rule (controller soft state lost in a
   /// switch crash; the MAC program is config restored from flash).
-  void clear_flow_rules() { active().clear(); }
+  void clear_flow_rules() {
+    active().clear();
+    if (staging_) staged().clear();
+  }
 
   Entry* find_mac(net::MacAddress dst) {
-    const auto it = mac_table_.find(dst);
-    return it == mac_table_.end() ? nullptr : &it->second;
+    const std::uint32_t* ref = find_mac_ref(dst);
+    return ref == nullptr || *ref == 0 ? nullptr : &mac_entry(*ref - 1);
   }
   Entry* find_flow(const net::FlowKey& key) {
     auto& table = active();
+    if (table.empty()) return nullptr;  // most switches hold no reroutes
     const auto it = table.find(key);
     return it == table.end() ? nullptr : &it->second;
   }
 
-  std::size_t flow_rule_count() const { return active().size(); }
-  const std::unordered_map<net::MacAddress, Entry>& mac_table() const {
-    return mac_table_;
+  std::size_t mac_rule_count() const {
+    return mac_entries_ - free_mac_entries_.size();
   }
+  std::size_t flow_rule_count() const { return active().size(); }
 
   // --- epoch'd route programs (DESIGN.md §10) ----------------------------
   /// Opens the staging flow bank for `epoch`'s route program, seeding it
@@ -126,13 +162,20 @@ class RuleTable {
 
   /// Atomically flips the staged program live. Returns false (no flip)
   /// unless `epoch` is exactly the staged program; a duplicate commit of
-  /// the already-committed epoch reports success idempotently.
+  /// the already-committed epoch reports success idempotently. Rules the
+  /// program kept take their live counters across the flip (the staged
+  /// copies froze at begin_staging).
   bool commit_staged(std::uint64_t epoch) {
     if (committed_epoch_ == epoch) return true;  // duplicate delivery
     if (!staging_ || staged_epoch_ != epoch) return false;
     PLANCK_CONTRACT(epoch > committed_epoch_,
                     "per-switch epoch monotonicity: a committed route "
                     "program's epoch must exceed its predecessor's");
+    FlowTable& next = staged();
+    for (const auto& [key, live] : active()) {
+      const auto kept = next.find(key);
+      if (kept != next.end()) kept->second.counters = live.counters;
+    }
     swap_banks();
     committed_epoch_ = epoch;
     staging_ = false;
@@ -158,6 +201,44 @@ class RuleTable {
 
   using FlowTable = std::unordered_map<net::FlowKey, Entry, net::FlowKeyHash>;
 
+  /// The (tree, host) a host MAC decodes to; false for any other MAC.
+  static bool decode_mac(net::MacAddress mac, int* tree, int* host) {
+    if (net::is_shadow_mac(mac, tree, host)) return true;
+    *tree = 0;
+    *host = net::host_id_of_mac(mac);
+    return *host >= 0;
+  }
+  /// The index cell of `mac` (slab index + 1, or 0 when no rule), or
+  /// nullptr when it decodes to no host or lies past its tree's array.
+  std::uint32_t* find_mac_ref(net::MacAddress mac) {
+    int tree = 0;
+    int host = -1;
+    if (!decode_mac(mac, &tree, &host)) return nullptr;
+    auto& index = mac_index_[tree];
+    const auto at = static_cast<std::size_t>(host);
+    return at < index.size() ? &index[at] : nullptr;
+  }
+
+  static constexpr std::uint32_t kMacChunkBits = 6;  // 64 entries a chunk
+  static constexpr std::uint32_t kMacChunkSize = 1u << kMacChunkBits;
+
+  Entry& mac_entry(std::uint32_t i) {
+    return mac_chunks_[i >> kMacChunkBits][i & (kMacChunkSize - 1)];
+  }
+  /// A fresh (default) entry from the slab, reusing erased ones first.
+  std::uint32_t alloc_mac_entry() {
+    if (!free_mac_entries_.empty()) {
+      const std::uint32_t i = free_mac_entries_.back();
+      free_mac_entries_.pop_back();
+      mac_entry(i) = Entry{};
+      return i;
+    }
+    if ((mac_entries_ & (kMacChunkSize - 1)) == 0) {
+      mac_chunks_.push_back(std::make_unique<Entry[]>(kMacChunkSize));
+    }
+    return mac_entries_++;
+  }
+
   FlowTable& active() { return flow_banks_[active_]; }
   const FlowTable& active() const { return flow_banks_[active_]; }
   FlowTable& staged() { return flow_banks_[1 - active_]; }
@@ -166,7 +247,12 @@ class RuleTable {
   /// planck-lint's bank-swap check, which flags any other caller.
   void swap_banks() { active_ = 1 - active_; }
 
-  std::unordered_map<net::MacAddress, Entry> mac_table_;
+  // Per tree, indexed by host id: slab index + 1 of the rule, 0 for none.
+  // Empty for trees this switch never carries.
+  std::vector<std::uint32_t> mac_index_[net::kMaxProvisionedTrees];
+  std::vector<std::unique_ptr<Entry[]>> mac_chunks_;  // the entry slab
+  std::uint32_t mac_entries_ = 0;                     // slab slots used
+  std::vector<std::uint32_t> free_mac_entries_;       // erased slots
   FlowTable flow_banks_[2];
   int active_ = 0;
   bool staging_ = false;

@@ -162,14 +162,12 @@ void Switch::flush_queue(int port) {
   // finish_tx event expects to pop it, so it stays queued. Its delivery is
   // killed at the link layer when the cable is the thing that died.
   const std::size_t keep = p.draining ? 1 : 0;
-  while (p.queue.size() > keep) {
-    const net::Packet& pkt = p.queue.back();
+  sim_.packet_pool().truncate(p.queue, keep, [&](const net::Packet& pkt) {
     buffer_.release(port, pkt.frame_bytes());
     ++p.counters.drops;
     p.counters.drop_bytes += pkt.frame_bytes();
     ++fault_drops_;
-    p.queue.pop_back();
-  }
+  });
 }
 
 void Switch::set_mirroring(int monitor_port) {
@@ -290,7 +288,7 @@ void Switch::enqueue(int port, const net::Packet& packet, bool is_mirror) {
     return;
   }
   if (is_mirror) ++mirror_sent_;
-  p.queue.push_back(packet);
+  sim_.packet_pool().push_back(p.queue, packet);
   if (!p.draining) start_tx(port);
 }
 
@@ -301,7 +299,7 @@ void Switch::start_tx(int port) {
     return;
   }
   p.draining = true;
-  const net::Packet& pkt = p.queue.front();
+  const net::Packet& pkt = sim_.packet_pool().front(p.queue);
   const sim::Time done = p.link->transmit(pkt);
   sim_.schedule_call_at(done, this, static_cast<std::uint32_t>(port),
                         [](void* self, std::uint32_t which) {
@@ -312,12 +310,12 @@ void Switch::start_tx(int port) {
 
 void Switch::finish_tx(int port) {
   Port& p = ports_[static_cast<std::size_t>(port)];
-  assert(!p.queue.empty());
-  const net::Packet& pkt = p.queue.front();
+  sim::PacketPool& pool = sim_.packet_pool();
+  const net::Packet& pkt = pool.front(p.queue);
   ++p.counters.tx_packets;
   p.counters.tx_bytes += pkt.frame_bytes();
   buffer_.release(port, pkt.frame_bytes());
-  p.queue.pop_front();
+  pool.pop_front(p.queue);
   start_tx(port);
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -9,6 +8,7 @@
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "sim/packet_pool.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "switchsim/rule_table.hpp"
@@ -27,8 +27,10 @@ struct SwitchConfig {
   sim::Bytes monitor_port_cap = sim::mebibytes(4);
 
   /// Maintain per-5-tuple forwarding counters (NetFlow-style, §2.3), which
-  /// the polling TE baselines read. Planck itself never uses these.
-  bool flow_accounting = true;
+  /// the polling TE baselines read. Planck itself never uses these, so
+  /// they are off unless a polling scheme asks for them: each forwarded
+  /// packet otherwise pays a hash-map upsert nobody reads.
+  bool flow_accounting = false;
 
   /// sFlow-style control-plane sampling (§2.1): forward one in N packets
   /// to the control plane, capped at a max rate by the switch CPU / PCI
@@ -193,7 +195,7 @@ class Switch : public net::Node {
  private:
   struct Port {
     net::Link* link = nullptr;
-    std::deque<net::Packet> queue;
+    sim::PacketPool::Queue queue;  // slots in the simulation's packet pool
     bool draining = false;
     bool admin_up = true;
     PortCounters counters;

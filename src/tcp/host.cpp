@@ -1,6 +1,7 @@
 #include "tcp/host.hpp"
 
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace planck::tcp {
@@ -12,13 +13,28 @@ Host::Host(sim::Simulation& simulation, int host_id, const HostConfig& config)
       rng_(config.seed ^ (0x9e3779b97f4a7c15ULL *
                           static_cast<std::uint64_t>(host_id + 1))) {}
 
+Host::ArpEntry* Host::arp_entry(net::IpAddress ip) {
+  const int id = net::host_id_of_ip(ip);
+  if (id < 0) return nullptr;
+  const auto at = static_cast<std::size_t>(id);
+  if (at >= arp_cache_.size()) arp_cache_.resize(at + 1);
+  return &arp_cache_[at];
+}
+
 void Host::set_arp(net::IpAddress ip, net::MacAddress mac) {
-  arp_cache_[ip] = ArpEntry{mac, sim_.now()};
+  ArpEntry* entry = arp_entry(ip);
+  if (entry == nullptr) {
+    throw std::invalid_argument("set_arp: " + net::ip_to_string(ip) +
+                                " is not a host IP");
+  }
+  *entry = ArpEntry{mac, sim_.now()};
 }
 
 net::MacAddress Host::lookup_arp(net::IpAddress ip) const {
-  const auto it = arp_cache_.find(ip);
-  return it == arp_cache_.end() ? net::kMacNone : it->second.mac;
+  const int id = net::host_id_of_ip(ip);
+  const auto at = static_cast<std::size_t>(id);
+  return id < 0 || at >= arp_cache_.size() ? net::kMacNone
+                                           : arp_cache_[at].mac;
 }
 
 TcpSender* Host::start_flow(net::IpAddress dst_ip, std::uint16_t dst_port,
@@ -72,7 +88,7 @@ bool Host::send(net::Packet packet) {
     return false;
   }
   nic_bytes_ += frame;
-  nic_queue_.push_back(packet);
+  sim_.packet_pool().push_back(nic_queue_, packet);
   if (!nic_draining_) start_tx();
   return true;
 }
@@ -83,7 +99,7 @@ void Host::start_tx() {
     return;
   }
   if (link_ == nullptr) {
-    nic_queue_.clear();
+    sim_.packet_pool().truncate(nic_queue_, 0, [](const net::Packet&) {});
     nic_bytes_ = sim::Bytes{0};
     nic_draining_ = false;
     return;
@@ -106,7 +122,7 @@ void Host::start_tx() {
     });
     return;
   }
-  net::Packet& pkt = nic_queue_.front();
+  net::Packet& pkt = sim_.packet_pool().front(nic_queue_);
   pkt.sent_at = sim_.now();  // the "tcpdump at the sender" timestamp (§5.2)
   if (tx_hook_) tx_hook_(pkt);
   train_bytes_ += pkt.frame_bytes();
@@ -117,9 +133,9 @@ void Host::start_tx() {
 }
 
 void Host::finish_tx() {
-  assert(!nic_queue_.empty());
-  nic_bytes_ -= nic_queue_.front().frame_bytes();
-  nic_queue_.pop_front();
+  sim::PacketPool& pool = sim_.packet_pool();
+  nic_bytes_ -= pool.front(nic_queue_).frame_bytes();
+  pool.pop_front(nic_queue_);
 
   if (!nic_waiters_.empty() &&
       nic_headroom() >= config_.nic_queue_bytes / 2) {
@@ -161,14 +177,15 @@ void Host::handle_arp(const net::Packet& packet) {
       !config_.learn_from_arp_request) {
     return;
   }
-  auto& entry = arp_cache_[packet.src_ip];
-  if (entry.updated_at >= 0 &&
-      sim_.now() - entry.updated_at < config_.arp_locktime) {
+  ArpEntry* entry = arp_entry(packet.src_ip);
+  if (entry == nullptr) return;  // sender outside the address plan
+  if (entry->updated_at >= 0 &&
+      sim_.now() - entry->updated_at < config_.arp_locktime) {
     return;  // entry locked
   }
-  if (entry.mac == packet.arp_mac) return;
-  entry.mac = packet.arp_mac;
-  entry.updated_at = sim_.now();
+  if (entry->mac == packet.arp_mac) return;
+  entry->mac = packet.arp_mac;
+  entry->updated_at = sim_.now();
   ++arp_updates_;
 }
 

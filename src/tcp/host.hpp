@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -12,6 +11,7 @@
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "sim/packet_pool.hpp"
 #include "sim/random.hpp"
 #include "sim/simulation.hpp"
 #include "tcp/tcp_connection.hpp"
@@ -64,6 +64,8 @@ class Host : public net::Node {
   net::IpAddress ip() const { return net::host_ip(id_); }
 
   // --- ARP cache --------------------------------------------------------
+  /// Sets the entry for `ip`, which must be a host IP of the address plan
+  /// (throws std::invalid_argument otherwise).
   void set_arp(net::IpAddress ip, net::MacAddress mac);
   net::MacAddress lookup_arp(net::IpAddress ip) const;
 
@@ -137,9 +139,13 @@ class Host : public net::Node {
     net::MacAddress mac = net::kMacNone;
     sim::Time updated_at = -1;
   };
-  std::unordered_map<net::IpAddress, ArpEntry> arp_cache_;
+  /// The entry for a host IP, grown on demand; nullptr for an IP outside
+  /// the address plan.
+  ArpEntry* arp_entry(net::IpAddress ip);
+  /// Indexed by net::host_id_of_ip; entries past the end are unset.
+  std::vector<ArpEntry> arp_cache_;
 
-  std::deque<net::Packet> nic_queue_;
+  sim::PacketPool::Queue nic_queue_;  // slots in the simulation's pool
   sim::Bytes nic_bytes_{0};
   bool nic_draining_ = false;
   std::uint64_t nic_drops_ = 0;

@@ -15,8 +15,10 @@
 #include "controller/controller.hpp"
 #include "core/collector.hpp"
 #include "fault/fault_injector.hpp"
+#include "net/partition.hpp"
 #include "net/topology.hpp"
 #include "obs/telemetry.hpp"
+#include "sim/parallel.hpp"
 #include "sim/simulation.hpp"
 #include "switchsim/rule_table.hpp"
 #include "switchsim/switch.hpp"
@@ -159,6 +161,51 @@ TEST(RuleTableEpoch, MacCountersSurviveTheFlip) {
   ASSERT_NE(mac, nullptr);
   EXPECT_EQ(mac->counters.packets, sim::packets(5));
   EXPECT_EQ(mac->counters.bytes, sim::bytes(7500));
+}
+
+TEST(RuleTableEpoch, FlowCountersSurviveTheFlip) {
+  switchsim::RuleTable rules;
+  const net::FlowKey kept = make_key(0, 1);
+  const net::FlowKey dropped = make_key(2, 3);
+  rules.set_flow_rule(kept, rewrite_to(1, 1));
+  rules.set_flow_rule(dropped, rewrite_to(3, 1));
+
+  ASSERT_TRUE(rules.begin_staging(1));
+  // Traffic keeps hitting the live rules while the program is staged.
+  rules.find_flow(kept)->counters.packets += sim::packets(5);
+  rules.find_flow(kept)->counters.bytes += sim::bytes(7500);
+  rules.find_flow(dropped)->counters.packets += sim::packets(2);
+  // The program rewrites `kept` (a rule it keeps) and drops `dropped`.
+  ASSERT_TRUE(rules.stage_flow_rule(1, kept, rewrite_to(1, 2)));
+  ASSERT_TRUE(rules.stage_flow_erase(1, dropped));
+  ASSERT_TRUE(rules.commit_staged(1));
+
+  const auto* rule = rules.find_flow(kept);
+  ASSERT_NE(rule, nullptr);
+  EXPECT_EQ(rule->actions.set_dst_mac, net::host_mac(1, 2));
+  EXPECT_EQ(rule->counters.packets, sim::packets(5));
+  EXPECT_EQ(rule->counters.bytes, sim::bytes(7500));
+  EXPECT_EQ(rules.find_flow(dropped), nullptr);
+}
+
+TEST(RuleTableEpoch, DirectFlowWritesDuringStagingSurviveCommit) {
+  switchsim::RuleTable rules;
+  const net::FlowKey staged = make_key(0, 1);
+  const net::FlowKey direct = make_key(2, 3);
+
+  ASSERT_TRUE(rules.begin_staging(1));
+  ASSERT_TRUE(rules.stage_flow_rule(1, staged, rewrite_to(1, 1)));
+  // Out-of-band flow configuration while a route program is staged: live
+  // at once, and not undone by the flip.
+  rules.set_flow_rule(direct, rewrite_to(3, 2));
+  ASSERT_NE(rules.find_flow(direct), nullptr);
+  ASSERT_TRUE(rules.commit_staged(1));
+
+  const auto* rule = rules.find_flow(direct);
+  ASSERT_NE(rule, nullptr);
+  EXPECT_EQ(rule->actions.set_dst_mac, net::host_mac(3, 2));
+  EXPECT_NE(rules.find_flow(staged), nullptr);
+  EXPECT_EQ(rules.flow_rule_count(), 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -337,6 +384,43 @@ TEST(EpochControl, RecoveredSwitchResyncsToCurrentEpoch) {
   EXPECT_EQ(rule->actions.set_dst_mac, net::host_mac(15, 2));
   EXPECT_EQ(ctrl.tree_of(key), 2);
   EXPECT_GT(f.bed.switch_by_node(ingress)->committed_epoch(), pre_crash);
+}
+
+TEST(EpochControl, PacketPoolDrainsWithTheFabric) {
+  // Every switch port queue and host NIC queue holds its frames in the
+  // simulation's packet pool; once the flows finish and the wires go quiet,
+  // every slot is back on the free list.
+  FatTree f;
+  int done = 0;
+  for (int i : {0, 5, 10, 15}) {
+    f.bed.host(i)->start_flow(net::host_ip((i + 8) % 16), 5001, 256 * 1024,
+                              [&done](const tcp::FlowStats&) { ++done; });
+  }
+  f.sim.run_until(sim::milliseconds(100));
+  ASSERT_EQ(done, 4);
+  EXPECT_GT(f.sim.packet_pool().capacity(), 0u);
+  EXPECT_EQ(f.sim.packet_pool().live(), 0u);
+}
+
+TEST(EpochControl, EveryPartitionPoolDrains) {
+  // Sharded: each partition queues into its own pool, and a frame that
+  // crosses a boundary is re-queued in the receiver's pool.
+  const auto graph = net::make_fat_tree(
+      4, net::LinkSpec{sim::gigabits_per_sec(10), sim::microseconds(5)});
+  const net::PartitionMap map = net::make_partition_map(graph);
+  sim::ParallelEngine engine(map.num_partitions, map.lookahead(), 1);
+  Testbed bed(engine, map, graph, TestbedConfig{});
+  int done = 0;
+  for (int i : {0, 5, 10, 15}) {
+    bed.host(i)->start_flow(net::host_ip((i + 8) % 16), 5001, 256 * 1024,
+                            [&done](const tcp::FlowStats&) { ++done; });
+  }
+  engine.run_until(sim::milliseconds(100));
+  ASSERT_EQ(done, 4);
+  for (int pid = 0; pid < engine.data_partitions(); ++pid) {
+    EXPECT_GT(engine.partition(pid).packet_pool().capacity(), 0u) << pid;
+    EXPECT_EQ(engine.partition(pid).packet_pool().live(), 0u) << pid;
+  }
 }
 
 TEST(EpochControl, StaleProbeVerdictsNeverFlapARecoveredSwitch) {

@@ -222,5 +222,108 @@ TEST(EventWheelProperty, MassiveTieBreakIsFifo) {
   }
 }
 
+// --- the memoized pop -------------------------------------------------------
+// Simulation::run_until peeks (next_time) and then pops (run_top); run_top
+// reuses the peeked node when it sits in the near page. These pin down that
+// the memo never outlives a change that could make it stale.
+
+/// Pushes a callback that appends `tag` to `out`.
+EventId push_tag(EventQueue& q, Time when, std::vector<int>& out, int tag) {
+  return q.push(when, [&out, tag] { out.push_back(tag); });
+}
+
+TEST(EventWheelMemo, EarlierPushAfterPeekPopsFirst) {
+  EventQueue q;
+  std::vector<int> order;
+  push_tag(q, 500, order, 1);
+  ASSERT_EQ(q.next_time(), 500);  // memoizes the t=500 event
+  push_tag(q, 200, order, 2);     // earlier than the memo, not before cursor
+  Time when = 0;
+  q.run_top(&when);
+  EXPECT_EQ(when, 200);
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  q.run_top(&when);
+  EXPECT_EQ(when, 500);
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventWheelMemo, EqualTimePushAfterPeekKeepsFifo) {
+  EventQueue q;
+  std::vector<int> order;
+  push_tag(q, 700, order, 1);
+  ASSERT_EQ(q.next_time(), 700);
+  push_tag(q, 700, order, 2);
+  while (!q.empty()) q.run_top();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventWheelMemo, CancellingTheMemoPopsTheNextEvent) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventId first = push_tag(q, 100, order, 1);
+  push_tag(q, 300, order, 2);
+  ASSERT_EQ(q.next_time(), 100);
+  q.cancel(first);
+  ASSERT_EQ(q.size(), 1u);
+  Time when = 0;
+  q.run_top(&when);
+  EXPECT_EQ(when, 300);
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventWheelMemo, CancellingAnotherEventKeepsTheMemo) {
+  EventQueue q;
+  std::vector<int> order;
+  push_tag(q, 100, order, 1);
+  const EventId second = push_tag(q, 300, order, 2);
+  push_tag(q, 400, order, 3);
+  ASSERT_EQ(q.next_time(), 100);
+  q.cancel(second);
+  Time when = 0;
+  q.run_top(&when);
+  EXPECT_EQ(when, 100);
+  q.run_top(&when);
+  EXPECT_EQ(when, 400);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventWheelMemo, FarLevelMemoStillCascades) {
+  // Each memo below lives outside the near page — in a far wheel or the
+  // overflow heap — so run_top must cascade it down rather than reuse it.
+  for (const Time far : {Time{20'000}, milliseconds(3), milliseconds(900),
+                         seconds(200)}) {
+    EventQueue q;
+    std::vector<int> order;
+    push_tag(q, far + 5, order, 2);
+    push_tag(q, far, order, 1);
+    ASSERT_EQ(q.next_time(), far) << far;
+    push_tag(q, far, order, 3);  // ties the memo: FIFO puts it after tag 1
+    Time when = 0;
+    q.run_top(&when);
+    EXPECT_EQ(when, far);
+    // A push after the cascade lands relative to the new cursor.
+    push_tag(q, far + 1, order, 4);
+    while (!q.empty()) q.run_top();
+    EXPECT_EQ(order, (std::vector<int>{1, 3, 4, 2})) << far;
+  }
+}
+
+TEST(EventWheelMemo, NearPushBeatsAFarMemo) {
+  EventQueue q;
+  std::vector<int> order;
+  push_tag(q, seconds(200), order, 1);  // overflow heap
+  ASSERT_EQ(q.next_time(), seconds(200));
+  push_tag(q, 10, order, 2);
+  Time when = 0;
+  q.run_top(&when);
+  EXPECT_EQ(when, 10);
+  q.run_top(&when);
+  EXPECT_EQ(when, seconds(200));
+  EXPECT_EQ(order, (std::vector<int>{2, 1}));
+}
+
 }  // namespace
 }  // namespace planck::sim

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "net/link.hpp"
@@ -137,6 +138,71 @@ TEST(RuleTable, MacRuleInstallAndErase) {
   EXPECT_TRUE(t.erase_mac_rule(net::host_mac(1)));
   EXPECT_EQ(t.find_mac(net::host_mac(1)), nullptr);
   EXPECT_FALSE(t.erase_mac_rule(net::host_mac(1)));
+}
+
+TEST(RuleTable, NonHostMacIsRefused) {
+  RuleTable t;
+  RuleActions a;
+  a.out_port = 1;
+  // Neither broadcast, nor the null MAC, nor a base MAC past the address
+  // plan, nor a shadow MAC past the provisioned trees names a host.
+  for (const net::MacAddress mac :
+       {net::kMacBroadcast, net::kMacNone,
+        net::host_mac(net::kMaxAddressableHosts),
+        net::host_mac(3, net::kMaxProvisionedTrees)}) {
+    EXPECT_THROW(t.set_mac_rule(mac, a), std::invalid_argument)
+        << net::mac_to_string(mac);
+    EXPECT_EQ(t.find_mac(mac), nullptr);
+    EXPECT_FALSE(t.erase_mac_rule(mac));
+  }
+  EXPECT_EQ(t.mac_rule_count(), 0u);
+}
+
+TEST(RuleTable, LastShadowTreeAtTheBound) {
+  RuleTable t;
+  const int last = net::kMaxProvisionedTrees - 1;
+  RuleActions a;
+  a.out_port = 2;
+  a.set_dst_mac = net::host_mac(7);
+  t.set_mac_rule(net::host_mac(7, last), a);
+  const auto* rule = t.find_mac(net::host_mac(7, last));
+  ASSERT_NE(rule, nullptr);
+  EXPECT_EQ(rule->actions.out_port, 2);
+  EXPECT_EQ(rule->actions.set_dst_mac, net::host_mac(7));
+  // Its neighbours — same host on the tree below, next host on the same
+  // tree — stay empty.
+  EXPECT_EQ(t.find_mac(net::host_mac(7, last - 1)), nullptr);
+  EXPECT_EQ(t.find_mac(net::host_mac(8, last)), nullptr);
+  EXPECT_TRUE(t.erase_mac_rule(net::host_mac(7, last)));
+  EXPECT_EQ(t.find_mac(net::host_mac(7, last)), nullptr);
+}
+
+TEST(RuleTable, EraseAndLookupsPastTheArray) {
+  RuleTable t;
+  RuleActions a;
+  a.out_port = 1;
+  t.set_mac_rule(net::host_mac(3), a);
+  t.set_mac_rule(net::host_mac(5, 2), a);
+  EXPECT_EQ(t.mac_rule_count(), 2u);
+  // Past the arrays' sizes (and on a tree never installed): misses.
+  EXPECT_EQ(t.find_mac(net::host_mac(4)), nullptr);
+  EXPECT_EQ(t.find_mac(net::host_mac(1000)), nullptr);
+  EXPECT_EQ(t.find_mac(net::host_mac(3, 1)), nullptr);
+  EXPECT_FALSE(t.erase_mac_rule(net::host_mac(1000)));
+  // Inside an array but never set: misses too.
+  EXPECT_EQ(t.find_mac(net::host_mac(1)), nullptr);
+  EXPECT_FALSE(t.erase_mac_rule(net::host_mac(1)));
+
+  t.find_mac(net::host_mac(3))->counters.packets += sim::packets(4);
+  EXPECT_TRUE(t.erase_mac_rule(net::host_mac(3)));
+  EXPECT_FALSE(t.erase_mac_rule(net::host_mac(3)));
+  EXPECT_EQ(t.mac_rule_count(), 1u);
+  EXPECT_NE(t.find_mac(net::host_mac(5, 2)), nullptr);
+  // A re-installed rule starts from fresh counters.
+  t.set_mac_rule(net::host_mac(3), a);
+  ASSERT_NE(t.find_mac(net::host_mac(3)), nullptr);
+  EXPECT_EQ(t.find_mac(net::host_mac(3))->counters.packets, sim::packets(0));
+  EXPECT_EQ(t.mac_rule_count(), 2u);
 }
 
 TEST(RuleTable, FlowRuleOverwrite) {
@@ -374,6 +440,33 @@ TEST(Switch, TailDropWhenOutputCongests) {
   f.sim.run();
   EXPECT_LT(f.sinks[1].packets.size(), 50u);
   EXPECT_EQ(f.sinks[1].packets.size() + f.sw.counters(1).drops.count(), 100u);
+}
+
+TEST(Switch, PortDownFlushKeepsTheInFlightHead) {
+  Fixture f;
+  RuleActions a;
+  a.out_port = 1;
+  f.sw.rules().set_mac_rule(net::host_mac(9), a);
+  sim::PacketPool& pool = f.sim.packet_pool();
+  for (int i = 0; i < 5; ++i) f.sw.handle_packet(f.make_packet(9), 0);
+  ASSERT_EQ(f.sw.queue_depth_packets(1), 5u);  // head on the wire + 4
+  ASSERT_EQ(pool.live(), 5u);
+
+  f.sw.set_port_admin(1, false);
+  // The head frame is already being serialized: its finish_tx event still
+  // pops it. Every other slot goes back to the pool at once.
+  EXPECT_EQ(f.sw.queue_depth_packets(1), 1u);
+  EXPECT_EQ(pool.live(), 1u);
+  EXPECT_EQ(f.sw.counters(1).drops, sim::packets(4));
+  EXPECT_EQ(f.sw.fault_drops(), 4u);
+  EXPECT_EQ(f.sw.queue_depth_bytes(1),
+            f.make_packet(9).frame_bytes());
+
+  f.sim.run();
+  EXPECT_EQ(f.sw.queue_depth_packets(1), 0u);
+  EXPECT_EQ(f.sw.queue_depth_bytes(1), sim::Bytes{0});
+  EXPECT_EQ(pool.live(), 0u);
+  EXPECT_EQ(f.sw.counters(1).tx_packets, sim::packets(1));
 }
 
 TEST(Switch, InjectBypassesRules) {

@@ -10,6 +10,11 @@
 // Time deltas are generated as base << shift with shift up to 39 bits so
 // inputs exercise every wheel level — the 8192-slot nanosecond wheel, all
 // three far wheels, cascade boundaries, and the >137 s overflow heap.
+//
+// Ops: push (2 of 5), cancel, pop, and a bare peek (next_time with no pop).
+// The peek leaves the wheel's memoized minimum in place, so later pushes and
+// cancels must invalidate it exactly when it stops being the minimum — the
+// pop that follows reuses it.
 
 #include <cstdint>
 #include <cstdio>
@@ -104,7 +109,7 @@ void planck_fuzz_one(const std::uint8_t* data, std::size_t size) {
   };
 
   while (!in.done()) {
-    const std::uint8_t op = in.u8() & 3;
+    const std::uint8_t op = in.u8() % 5;
     if (op <= 1) {  // push (weighted 2x: keeps the queues populated)
       const std::uint64_t base = in.u8();
       const int shift = in.u8() % 40;  // up to ~2^39 ns spans the overflow
@@ -122,11 +127,20 @@ void planck_fuzz_one(const std::uint8_t* data, std::size_t size) {
         live[i] = live.back();
         live.pop_back();
       }
-    } else {  // pop one from both, compare
+    } else if (op == 3) {  // pop one from both, compare
       if (wheel.empty() != heap.empty()) {
         divergence("empty", pops, wheel.empty() ? 1 : 0, heap.empty() ? 1 : 0);
       }
       if (!wheel.empty()) pop_both();
+    } else {  // bare peek: the wheel memoizes its minimum, nothing pops
+      if (!wheel.empty()) {
+        const planck::sim::Time wheel_next = wheel.next_time();
+        const planck::sim::Time heap_next = heap.next_time();
+        if (wheel_next != heap_next) {
+          divergence("peek", pops, static_cast<long long>(wheel_next),
+                     static_cast<long long>(heap_next));
+        }
+      }
     }
   }
 
