@@ -98,20 +98,22 @@ void Collector::handle_packet(const net::Packet& packet, int /*in_port*/) {
   ++samples_received_;
   last_sample_at_ = sim_.now();
 
-  const Sample sample{sim_.now(), packet};
-  if (ring_.size() < config_.sample_ring_capacity) {
-    ring_.push_back(sample);
-  } else if (!ring_.empty()) {
-    ring_[ring_next_] = sample;
-    ring_next_ = (ring_next_ + 1) % ring_.size();
+  if (config_.sample_ring_capacity > 0 || sample_hook_) {
+    const Sample sample{sim_.now(), packet};
+    if (ring_.size() < config_.sample_ring_capacity) {
+      ring_.push_back(sample);
+    } else if (!ring_.empty()) {
+      ring_[ring_next_] = sample;
+      ring_next_ = (ring_next_ + 1) % ring_.size();
+    }
+    if (sample_hook_) sample_hook_(sample);
   }
-  if (sample_hook_) sample_hook_(sample);
 
   if (packet.proto == net::Protocol::kArp) return;
 
   // Sample-down backpressure: under event-queue pressure only every Nth
-  // sample pays for flow-table and estimator work (the ring above still
-  // sees everything — raw capture is cheap, estimation is not).
+  // sample pays for flow-table and estimator work (the ring and hook above
+  // still see everything — raw capture is cheap, estimation is not).
   if (mode_ >= BackpressureMode::kSampleDown &&
       ++sample_down_counter_ % config_.backpressure.sample_down_factor != 0) {
     ++samples_sampled_down_;

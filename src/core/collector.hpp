@@ -104,7 +104,9 @@ struct CollectorConfig {
   /// Housekeeping sweep period (staleness + eviction).
   sim::Duration sweep_interval = sim::milliseconds(1);
   /// Raw-sample ring capacity for the vantage-point application (§6.1).
-  std::size_t sample_ring_capacity = 4096;
+  /// 0 (the default) keeps no ring: nothing is copied per sample and
+  /// raw_samples() stays empty. The sample hook fires either way.
+  std::size_t sample_ring_capacity = 0;
 };
 
 /// A Planck collector instance: attached to one switch's monitor port,
@@ -151,7 +153,7 @@ class Collector : public net::Node {
   /// while offline).
   std::vector<FlowRate> flows_on_link(int out_port) const;
   /// (iii) The most recent raw samples, at most sample_ring_capacity of
-  /// them (oldest first, newest last).
+  /// them (oldest first, newest last); empty unless the ring is enabled.
   std::vector<Sample> raw_samples() const;
 
   // --- failure plane ------------------------------------------------------

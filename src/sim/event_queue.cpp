@@ -52,6 +52,14 @@ EventQueue::~EventQueue() {
   }
 }
 
+std::size_t EventQueue::nodes_in_use() const {
+  std::size_t used = 0;
+  for (std::uint32_t i = 0; i < node_count_; ++i) {
+    if (node(i).state != State::kFree) ++used;
+  }
+  return used;
+}
+
 // --- slab -----------------------------------------------------------------
 
 std::uint32_t EventQueue::alloc_node() {
@@ -140,20 +148,24 @@ EventId EventQueue::push_call(Time when, void* target, std::uint32_t aux,
 
 void EventQueue::append(Slot& slot, std::uint64_t* bits,
                         std::uint32_t slot_index, std::uint32_t idx) {
-  node(idx).next = kNil;
+  Node& n = node(idx);
+  n.next = kNil;
+  n.prev = slot.tail;
   if (slot.head == kNil) {
-    slot.head = slot.tail = idx;
+    slot.head = idx;
     set_bit(bits, slot_index);
   } else {
     node(slot.tail).next = idx;
-    slot.tail = idx;
   }
+  slot.tail = idx;
 }
 
 void EventQueue::insert(std::uint32_t idx) {
-  const Time when = node(idx).when;
+  Node& n = node(idx);
+  const Time when = n.when;
   if ((when >> kL0Bits) == (cursor_ >> kL0Bits)) {
     const auto s = static_cast<std::uint32_t>(when) & (kL0Slots - 1);
+    n.level = 0;
     append(l0_[s], l0_bits_, s, idx);
     return;
   }
@@ -162,12 +174,37 @@ void EventQueue::insert(std::uint32_t idx) {
     if ((when >> (shift + kFarBits)) == (cursor_ >> (shift + kFarBits))) {
       const auto s = static_cast<std::uint32_t>(when >> shift) &
                      (kFarSlots - 1);
+      n.level = static_cast<std::uint8_t>(level + 1);
       append(far_[level][s], far_bits_[level], s, idx);
       return;
     }
   }
-  overflow_.push_back(OverflowEntry{when, node(idx).seq, idx});
+  n.level = kOverflowLevel;
+  overflow_.push_back(OverflowEntry{when, n.seq, idx});
   std::push_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
+}
+
+void EventQueue::unlink(std::uint32_t idx) {
+  const Node& n = node(idx);
+  assert(n.level != kOverflowLevel);
+  // A node's slot follows from its level and its time, as in insert().
+  Slot* slot = nullptr;
+  std::uint64_t* bits = nullptr;
+  std::uint32_t s = 0;
+  if (n.level == 0) {
+    s = static_cast<std::uint32_t>(n.when) & (kL0Slots - 1);
+    slot = &l0_[s];
+    bits = l0_bits_;
+  } else {
+    const int level = n.level - 1;
+    s = static_cast<std::uint32_t>(n.when >> kFarShift[level]) &
+        (kFarSlots - 1);
+    slot = &far_[level][s];
+    bits = far_bits_[level];
+  }
+  (n.prev == kNil ? slot->head : node(n.prev).next) = n.next;
+  (n.next == kNil ? slot->tail : node(n.next).prev) = n.prev;
+  if (slot->head == kNil) clear_bit(bits, s);
 }
 
 // --- cancellation ---------------------------------------------------------
@@ -179,11 +216,16 @@ void EventQueue::cancel(EventId id) {
   if (n.gen != static_cast<std::uint32_t>(id)) return;  // fired: safe no-op
   if (n.state != State::kPending) return;  // executing right now: no-op
   destroy_payload(n);  // release captured resources promptly
-  n.state = State::kCancelled;  // unlinked (and freed) lazily by the scans
   --live_;
   // Only the memoized node itself stops being the minimum: cancelling any
   // other event leaves the earliest live one where it was.
   if (cached_ == idx_plus - 1) cached_ = kNil;
+  if (n.level == kOverflowLevel) {
+    n.state = State::kCancelled;  // freed when advance() pulls its page
+    return;
+  }
+  unlink(idx_plus - 1);
+  free_node(idx_plus - 1);
 }
 
 // --- popping --------------------------------------------------------------
@@ -201,14 +243,8 @@ void EventQueue::run_top(Time* when) {
   if (when != nullptr) *when = n.when;
 
   // find_next always leaves its result at the head of a level-0 slot.
-  const auto s = static_cast<std::uint32_t>(n.when) & (kL0Slots - 1);
-  Slot& slot = l0_[s];
-  assert(slot.head == idx);
-  slot.head = n.next;
-  if (slot.head == kNil) {
-    slot.tail = kNil;
-    clear_bit(l0_bits_, s);
-  }
+  assert(n.level == 0 && n.prev == kNil);
+  unlink(idx);
   cached_ = kNil;
   --live_;
   n.state = State::kExecuting;  // cancel(own id) during execution: no-op
@@ -251,104 +287,53 @@ std::uint32_t EventQueue::find_next() {
 }
 
 std::uint32_t EventQueue::near_head() {
-  // Scan the near wheel from the cursor's slot to the end of the page,
-  // freeing cancelled nodes as they surface at slot heads. A level-0 slot
-  // spans a single nanosecond and lists append in push order, so the first
-  // live head is the page's (when, seq) minimum; nodes behind it stay
-  // where they are (cancelled ones are freed when they reach the head).
-  std::uint32_t s = scan_bits(l0_bits_, kL0Words,
-                              static_cast<std::uint32_t>(cursor_) &
-                                  (kL0Slots - 1));
-  while (s != kNotFound) {
-    Slot& slot = l0_[s];
-    std::uint32_t h = slot.head;
-    while (h != kNil && node(h).state == State::kCancelled) {
-      const std::uint32_t next = node(h).next;
-      free_node(h);
-      h = next;
-    }
-    slot.head = h;
-    if (h != kNil) return h;
-    slot.tail = kNil;
-    clear_bit(l0_bits_, s);
-    s = scan_bits(l0_bits_, kL0Words, s + 1);
-  }
-  return kNil;
-}
-
-// Unlinks and frees cancelled nodes in a far slot, clearing its occupancy
-// bit if it empties out. Returns the surviving head (kNil if none). Freeing
-// dead nodes is semantically invisible, so the pure peek may do it.
-std::uint32_t EventQueue::sweep_slot(Slot& slot, std::uint64_t* bits,
-                                     std::uint32_t slot_index) {
-  std::uint32_t prev = kNil;
-  std::uint32_t h = slot.head;
-  while (h != kNil) {
-    const std::uint32_t next = node(h).next;
-    if (node(h).state == State::kCancelled) {
-      if (prev == kNil) {
-        slot.head = next;
-      } else {
-        node(prev).next = next;
-      }
-      if (slot.tail == h) slot.tail = prev;
-      free_node(h);
-    } else {
-      prev = h;
-    }
-    h = next;
-  }
-  if (slot.head == kNil) {
-    slot.tail = kNil;
-    clear_bit(bits, slot_index);
-  }
-  return slot.head;
+  // Wheel slots hold only live nodes (cancel unlinks at once), and a
+  // level-0 slot spans a single nanosecond with its list in push order, so
+  // the head of the first occupied slot from the cursor on is the page's
+  // (when, seq) minimum.
+  const std::uint32_t s = scan_bits(l0_bits_, kL0Words,
+                                    static_cast<std::uint32_t>(cursor_) &
+                                        (kL0Slots - 1));
+  return s == kNotFound ? kNil : l0_[s].head;
 }
 
 std::uint32_t EventQueue::peek() {
   if (cached_ != kNil) return cached_;
   assert(live_ > 0);
-  // A pure read of the earliest (when, seq): it may free cancelled nodes
-  // (invisible to callers) but never moves cursor_ and never cascades live
-  // nodes, so probing the queue cannot affect where later pushes land.
+  // A pure read of the earliest (when, seq): it frees nothing, never moves
+  // cursor_ and never cascades, so probing the queue cannot affect where
+  // later pushes land.
   //
   // Level containment makes this a short walk: every event resident in a
   // far level is strictly later than every event one level below (the
   // cursor entering a page cascades that page's slot first), so the first
-  // level with a live event holds the minimum, and within a level the first
+  // occupied level holds the minimum, and within a level the first
   // occupied slot does.
   std::uint32_t best = near_head();
   for (int level = 0; best == kNil && level < kFarLevels; ++level) {
     const int shift = kFarShift[level];
     const auto from = static_cast<std::uint32_t>(cursor_ >> shift) &
                       (kFarSlots - 1);
-    std::uint32_t fs = scan_bits(far_bits_[level], kFarWords, from);
-    while (fs != kNotFound) {
-      std::uint32_t h = sweep_slot(far_[level][fs], far_bits_[level], fs);
-      if (h != kNil) {
-        // A far slot spans many nanoseconds; walk it for the minimum.
-        best = h;
-        for (h = node(h).next; h != kNil; h = node(h).next) {
-          const Node& a = node(h);
-          const Node& b = node(best);
-          if (a.when < b.when || (a.when == b.when && a.seq < b.seq)) {
-            best = h;
-          }
-        }
-        break;
-      }
-      fs = scan_bits(far_bits_[level], kFarWords, fs + 1);
+    const std::uint32_t fs = scan_bits(far_bits_[level], kFarWords, from);
+    if (fs == kNotFound) continue;
+    // A far slot spans many nanoseconds; walk it for the minimum.
+    best = far_[level][fs].head;
+    for (std::uint32_t h = node(best).next; h != kNil; h = node(h).next) {
+      if (earlier(h, best)) best = h;
     }
   }
   if (best == kNil) {
-    while (!overflow_.empty() &&
-           node(overflow_.front().idx).state == State::kCancelled) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), OverflowLater{});
-      free_node(overflow_.back().idx);
-      overflow_.pop_back();
+    // Only the overflow heap holds cancelled entries, and its top may be
+    // one: a pass over the heap finds the earliest live entry without
+    // popping, so the peek stays pure. The wheel is empty here, and the
+    // next pop pulls this page into it.
+    for (const OverflowEntry& e : overflow_) {
+      if (node(e.idx).state == State::kPending &&
+          (best == kNil || earlier(e.idx, best))) {
+        best = e.idx;
+      }
     }
-    if (overflow_.empty()) return kNil;  // unreachable while live_ > 0
-    best = overflow_.front().idx;
+    if (best == kNil) return kNil;  // unreachable while live_ > 0
   }
   cached_ = best;
   cached_when_ = node(best).when;
@@ -405,11 +390,7 @@ void EventQueue::cascade(int level, std::uint32_t slot_index) {
   // ties exact across cascades.
   while (h != kNil) {
     const std::uint32_t next = node(h).next;
-    if (node(h).state == State::kCancelled) {
-      free_node(h);
-    } else {
-      insert(h);
-    }
+    insert(h);
     h = next;
   }
 }

@@ -82,7 +82,9 @@ class EventQueue {
   EventId push_call(Time when, void* target, std::uint32_t aux, CallFn fn);
 
   /// Cancels a pending event. O(1). Safe no-op if the event already ran,
-  /// was already cancelled, or the id is invalid.
+  /// was already cancelled, or the id is invalid. A wheel-resident event's
+  /// node is unlinked and freed at once; an overflow-heap entry (more than
+  /// ~137 s out) is freed when the cursor pulls its page.
   void cancel(EventId id);
 
   /// True when no runnable (non-cancelled) event remains. O(1).
@@ -99,6 +101,13 @@ class EventQueue {
   /// payload out of the slab). Precondition: !empty(). Reentrant: the
   /// executed event may push and cancel freely.
   void run_top(Time* when = nullptr);
+
+  /// Slab nodes the queue has grown to (in use plus free).
+  std::size_t capacity() const { return node_count_; }
+
+  /// Slab nodes in use: the live events plus the cancelled overflow-heap
+  /// entries not yet freed. O(capacity); a check for tests and fuzzing.
+  std::size_t nodes_in_use() const;
 
  private:
   // Single-writer by design: the wheel and its slab belong to one
@@ -121,7 +130,13 @@ class EventQueue {
   static constexpr int kFarShift[kFarLevels] = {13, 21, 29};
   static constexpr int kOverflowShift = 37;  // beyond the L3 page: heap
 
+  // Where a pending node is linked: the near wheel (0), far wheel 1..3, or
+  // the overflow heap.
+  static constexpr std::uint8_t kOverflowLevel = kFarLevels + 1;
+
   enum class Kind : std::uint8_t { kCallback, kPacket, kCall };
+  // kCancelled marks only overflow-heap entries: the heap cannot unlink
+  // from its middle, so they wait for advance() to pull their page.
   enum class State : std::uint8_t { kFree, kPending, kCancelled, kExecuting };
 
   struct DeliverPacket {
@@ -141,8 +156,10 @@ class EventQueue {
     std::uint64_t seq = 0;     // global push order; the FIFO tiebreak
     std::uint32_t gen = 1;     // bumped on free; stale ids cancel as no-ops
     std::uint32_t next = kNil; // slot list / free list link
+    std::uint32_t prev = kNil; // slot list back link (for O(1) unlink)
     State state = State::kFree;
     Kind kind = Kind::kCallback;
+    std::uint8_t level = 0;    // 0..kFarLevels, or kOverflowLevel
     union Payload {
       Callback cb;
       DeliverPacket dp;
@@ -172,6 +189,14 @@ class EventQueue {
   Node& node(std::uint32_t idx) {
     return chunks_[idx >> kChunkBits][idx & (kChunkSize - 1)];
   }
+  const Node& node(std::uint32_t idx) const {
+    return chunks_[idx >> kChunkBits][idx & (kChunkSize - 1)];
+  }
+  bool earlier(std::uint32_t a, std::uint32_t b) const {
+    const Node& x = node(a);
+    const Node& y = node(b);
+    return x.when < y.when || (x.when == y.when && x.seq < y.seq);
+  }
 
   std::uint32_t alloc_node();
   void free_node(std::uint32_t idx);
@@ -182,13 +207,12 @@ class EventQueue {
   void insert(std::uint32_t idx);    // place a pending node by its time
   void append(Slot& slot, std::uint64_t* bits, std::uint32_t slot_index,
               std::uint32_t idx);
+  void unlink(std::uint32_t idx);    // take a wheel node out of its slot
   std::uint32_t find_next();         // earliest live node; COMMITS cursor_
   std::uint32_t peek();              // earliest live node; cursor_ untouched
   std::uint32_t near_head();         // earliest live node in the near page
   bool advance();                    // cascade the next far slot / overflow
   void cascade(int level, std::uint32_t slot_index);
-  std::uint32_t sweep_slot(Slot& slot, std::uint64_t* bits,
-                           std::uint32_t slot_index);
 
   std::vector<std::unique_ptr<Node[]>> chunks_;
   std::uint32_t node_count_ = 0;

@@ -289,8 +289,21 @@ TEST(Collector, SampleHookSeesEverySample) {
             f.collector.samples_received());
 }
 
-TEST(Collector, ArpSamplesRecordedButNotTracked) {
+TEST(Collector, RawSampleRingOffByDefault) {
   Fixture f;
+  int hooked = 0;
+  f.collector.set_sample_hook([&](const Sample&) { ++hooked; });
+  f.feed(5e9, sim::milliseconds(1));
+  ASSERT_GT(f.collector.samples_received(), 0u);
+  EXPECT_TRUE(f.collector.raw_samples().empty());
+  EXPECT_EQ(static_cast<std::uint64_t>(hooked),
+            f.collector.samples_received());
+}
+
+TEST(Collector, ArpSamplesRecordedButNotTracked) {
+  CollectorConfig cfg;
+  cfg.sample_ring_capacity = 16;
+  Fixture f(cfg);
   Packet arp;
   arp.proto = net::Protocol::kArp;
   arp.arp_op = net::ArpOp::kRequest;

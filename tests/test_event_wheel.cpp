@@ -188,6 +188,7 @@ void run_property_trial(std::uint64_t seed, int ops) {
   }
   ASSERT_TRUE(model.empty());
   ASSERT_EQ(wheel.size(), 0u);
+  ASSERT_EQ(wheel.nodes_in_use(), 0u);  // every cancelled node was freed
 }
 
 class EventWheelProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -323,6 +324,95 @@ TEST(EventWheelMemo, NearPushBeatsAFarMemo) {
   q.run_top(&when);
   EXPECT_EQ(when, seconds(200));
   EXPECT_EQ(order, (std::vector<int>{2, 1}));
+}
+
+// --- eager cancellation ------------------------------------------------------
+// A cancelled wheel event leaves its slot list and the slab at once; only
+// overflow-heap entries (more than ~137 s out) wait for their page.
+
+TEST(EventWheelCancel, HeadMiddleAndTailCancelsKeepSurvivorsFifo) {
+  // 500 ns is a near (level-0) slot; the others start in far slots and
+  // cascade down, so the unlinks happen in a far slot's list.
+  for (const Time when : {Time{500}, Time{20'000}, milliseconds(3),
+                          milliseconds(900)}) {
+    EventQueue q;
+    std::vector<int> order;
+    std::vector<EventId> ids;
+    for (int tag = 0; tag < 7; ++tag) {
+      ids.push_back(push_tag(q, when, order, tag));
+    }
+    q.cancel(ids[0]);  // head
+    q.cancel(ids[3]);  // middle
+    q.cancel(ids[6]);  // tail
+    EXPECT_EQ(q.size(), 4u) << when;
+    EXPECT_EQ(q.nodes_in_use(), 4u) << when;
+    push_tag(q, when, order, 7);  // appends behind the new tail
+    while (!q.empty()) q.run_top();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 5, 7})) << when;
+    EXPECT_EQ(q.nodes_in_use(), 0u) << when;
+  }
+}
+
+TEST(EventWheelCancel, ExecutingEventCancelsTheNewHeadOfItsSlot) {
+  EventQueue q;
+  std::vector<int> order;
+  EventId second = 0;
+  q.push(100, [&] {
+    order.push_back(1);
+    q.cancel(second);  // the head of this slot now that tag 1 is running
+  });
+  second = push_tag(q, 100, order, 2);
+  push_tag(q, 100, order, 3);
+  while (!q.empty()) q.run_top();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+
+  // Cancelling the slot's last survivor empties it mid-execution.
+  EventId only = 0;
+  q.push(200, [&] {
+    order.push_back(4);
+    q.cancel(only);
+  });
+  only = push_tag(q, 200, order, 5);
+  push_tag(q, 300, order, 6);
+  while (!q.empty()) q.run_top();
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4, 6}));
+  EXPECT_EQ(q.nodes_in_use(), 0u);
+}
+
+TEST(EventWheelCancel, OverflowCancelsAreFreedWhenTheirPageIsPulled) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventId dead = push_tag(q, seconds(200), order, 1);  // overflow heap
+  push_tag(q, seconds(200) + 1, order, 2);
+  q.cancel(dead);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.nodes_in_use(), 2u);  // the cancelled entry is still held
+  EXPECT_EQ(q.next_time(), seconds(200) + 1);
+  EXPECT_EQ(q.nodes_in_use(), 2u);  // a peek frees nothing
+  Time when = 0;
+  q.run_top(&when);
+  EXPECT_EQ(when, seconds(200) + 1);
+  EXPECT_EQ(order, (std::vector<int>{2}));
+  EXPECT_EQ(q.nodes_in_use(), 0u);
+}
+
+TEST(EventWheelCancel, ArmAndCancelKeepsTheSlabBounded) {
+  // The delayed-ACK pattern: arm a 40 ms timer, let 100 ns pass, cancel
+  // it, re-arm. 100k cycles span 10 ms, well inside the timers' horizon,
+  // so a wheel that only marked cancelled nodes would hold all of them.
+  EventQueue q;
+  std::vector<int> order;
+  Time now = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    const EventId timer = push_tag(q, now + milliseconds(40), order, -1);
+    push_tag(q, now + 100, order, i);
+    q.run_top(&now);
+    q.cancel(timer);
+  }
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(order.size(), 100'000u);
+  EXPECT_LE(q.capacity(), 4u);
+  EXPECT_EQ(q.nodes_in_use(), 0u);
 }
 
 }  // namespace

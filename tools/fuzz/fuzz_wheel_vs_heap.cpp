@@ -15,6 +15,12 @@
 // The peek leaves the wheel's memoized minimum in place, so later pushes and
 // cancels must invalidate it exactly when it stops being the minimum — the
 // pop that follows reuses it.
+//
+// Memory invariant, checked after every op: the wheel's slab nodes in use
+// equal the live events plus the cancelled overflow-heap entries not yet
+// freed. A wheel-resident cancel frees its node at once; an overflow entry
+// (its 2^37 ns page is past the cursor's) stays until the cursor enters
+// that page, which the first pop inside it does.
 
 #include <cstdint>
 #include <cstdio>
@@ -48,8 +54,13 @@ struct Reader {
   bool done() const { return pos >= size; }
 };
 
+// The wheel's overflow boundary: events outside the cursor's 2^37 ns page
+// wait in the overflow heap (sim/event_queue.hpp).
+constexpr int kOverflowShift = 37;
+
 struct Live {
   std::uint64_t seq;
+  planck::sim::Time when;
   planck::sim::EventId wheel_id;
   planck::bench::BaselineHeapQueue::EventId heap_id;
 };
@@ -75,6 +86,20 @@ void planck_fuzz_one(const std::uint8_t* data, std::size_t size) {
   std::uint64_t next_seq = 1;
   std::uint64_t pops = 0;
   std::vector<Live> live;
+  // Pages of cancelled events still held in the wheel's overflow heap.
+  std::vector<planck::sim::Time> cancelled_overflow;
+
+  const auto check_memory = [&] {
+    const std::size_t in_use = wheel.nodes_in_use();
+    if (in_use != live.size() + cancelled_overflow.size()) {
+      std::fprintf(stderr,
+                   "fuzz_wheel_vs_heap: LEAK at pop %llu: %zu slab nodes in "
+                   "use, %zu live + %zu cancelled overflow entries\n",
+                   static_cast<unsigned long long>(pops), in_use, live.size(),
+                   cancelled_overflow.size());
+      std::abort();
+    }
+  };
 
   const auto pop_both = [&] {
     planck::sim::Time wheel_when{0};
@@ -99,6 +124,11 @@ void planck_fuzz_one(const std::uint8_t* data, std::size_t size) {
                  static_cast<long long>(g_heap_seq));
     }
     now = wheel_when;
+    // The cursor has entered now's page: every overflow entry up to it was
+    // pulled, and the cancelled ones freed.
+    std::erase_if(cancelled_overflow, [&](planck::sim::Time page) {
+      return page <= (now >> kOverflowShift);
+    });
     for (std::size_t i = 0; i < live.size(); ++i) {
       if (live[i].seq == g_wheel_seq) {
         live[i] = live.back();
@@ -118,12 +148,14 @@ void planck_fuzz_one(const std::uint8_t* data, std::size_t size) {
       const std::uint64_t seq = next_seq++;
       const auto wheel_id = wheel.push(when, [seq] { g_wheel_seq = seq; });
       const auto heap_id = heap.push(when, [seq] { g_heap_seq = seq; });
-      live.push_back(Live{seq, wheel_id, heap_id});
+      live.push_back(Live{seq, when, wheel_id, heap_id});
     } else if (op == 2) {  // cancel a live event in both queues
       if (!live.empty()) {
         const std::size_t i = in.u16() % live.size();
         wheel.cancel(live[i].wheel_id);
         heap.cancel(live[i].heap_id);
+        const planck::sim::Time page = live[i].when >> kOverflowShift;
+        if (page > (now >> kOverflowShift)) cancelled_overflow.push_back(page);
         live[i] = live.back();
         live.pop_back();
       }
@@ -142,12 +174,14 @@ void planck_fuzz_one(const std::uint8_t* data, std::size_t size) {
         }
       }
     }
+    check_memory();
   }
 
   // Drain: the full residual pop order must also match.
   while (!wheel.empty()) {
     if (heap.empty()) divergence("drain empty", pops, 0, 1);
     pop_both();
+    check_memory();
   }
   if (!heap.empty()) divergence("drain empty", pops, 1, 0);
 }
